@@ -69,7 +69,8 @@ ArgParser::parse(int argc, const char *const *argv, std::ostream &err)
                     << " takes no value\n";
                 return false;
             }
-            values_[name] = "1";
+            // Not = "1": GCC 12 flags that with a false -Wrestrict.
+            values_[name] = std::string(1, '1');
             continue;
         }
         if (has_inline) {

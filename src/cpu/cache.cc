@@ -48,21 +48,35 @@ Cache::rebuild(std::uint64_t set, Addr tag) const
     return (tag << (offsetBits_ + setBits_)) | (set << offsetBits_);
 }
 
+const Cache::Line *
+Cache::find(Addr addr) const
+{
+    const Addr tag = tagOf(addr);
+    const Line *base = &lines_[setOf(addr) * cfg_.assoc];
+    for (std::uint32_t w = 0; w < cfg_.assoc; ++w)
+        if (base[w].valid && base[w].tag == tag)
+            return &base[w];
+    return nullptr;
+}
+
+bool
+Cache::touch(Addr addr, bool is_write)
+{
+    Line *l = const_cast<Line *>(find(addr));
+    if (!l)
+        return false;
+    l->lastUse = ++useClock_;
+    if (is_write)
+        l->dirty = true;
+    return true;
+}
+
 bool
 Cache::access(Addr addr, bool is_write)
 {
-    const std::uint64_t set = setOf(addr);
-    const Addr tag = tagOf(addr);
-    Line *base = &lines_[set * cfg_.assoc];
-    for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
-        Line &l = base[w];
-        if (l.valid && l.tag == tag) {
-            l.lastUse = ++useClock_;
-            if (is_write)
-                l.dirty = true;
-            hits_ += 1;
-            return true;
-        }
+    if (touch(addr, is_write)) {
+        hits_ += 1;
+        return true;
     }
     misses_ += 1;
     return false;
@@ -71,13 +85,7 @@ Cache::access(Addr addr, bool is_write)
 bool
 Cache::contains(Addr addr) const
 {
-    const std::uint64_t set = setOf(addr);
-    const Addr tag = tagOf(addr);
-    const Line *base = &lines_[set * cfg_.assoc];
-    for (std::uint32_t w = 0; w < cfg_.assoc; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    return false;
+    return find(addr) != nullptr;
 }
 
 Eviction

@@ -55,6 +55,13 @@ class Cache
      */
     bool access(Addr addr, bool is_write);
 
+    /**
+     * access() without the hit/miss count: the LRU and dirty update of
+     * a hit, for a line an earlier access already counted. Returns true
+     * when the block is present.
+     */
+    bool touch(Addr addr, bool is_write);
+
     /** Tag-only probe; no LRU update. */
     bool contains(Addr addr) const;
 
@@ -87,6 +94,9 @@ class Cache
         bool dirty = false;
         std::uint64_t lastUse = 0;
     };
+
+    /** The valid line holding @p addr, or nullptr. */
+    const Line *find(Addr addr) const;
 
     std::uint64_t setOf(Addr addr) const;
     Addr tagOf(Addr addr) const;

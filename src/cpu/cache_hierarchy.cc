@@ -33,13 +33,24 @@ CacheHierarchy::access(Addr addr, bool is_write, std::uint64_t waiter,
     if (auto it = mshr_.find(block); it != mshr_.end()) {
         if (waiter != kNoWaiter)
             it->second.push_back(waiter);
+        accesses_ += 1;
         mshrMerges_ += 1;
         // A store merging into a fill dirties the L1 line (present in tag
         // state already or soon; mark on the L1 copy if present).
-        if (is_write && l1d_.contains(block))
-            l1d_.access(block, true);
+        if (is_write)
+            l1d_.touch(block, true);
         return {CacheOutcome::Miss, 0};
     }
+
+    // A main-memory read (fill) needs queue slots: worst case one read
+    // plus one L2 writeback. Without them a would-be miss is refused
+    // before it is counted; a miss leaves tag state untouched, so the
+    // refusal changes nothing.
+    if (!missCapacity() && !l1d_.contains(block) && !l2_.contains(block)) {
+        backpressured_ = true;
+        return {CacheOutcome::Retry, 0};
+    }
+    accesses_ += 1;
 
     if (l1d_.access(block, is_write))
         return {CacheOutcome::L1Hit, cfg_.l1LatencyCpu};
@@ -50,12 +61,7 @@ CacheHierarchy::access(Addr addr, bool is_write, std::uint64_t waiter,
         return {CacheOutcome::L2Hit, cfg_.l2LatencyCpu};
     }
 
-    // L2 miss: a main-memory read (fill) is required. The fill and any
-    // dirty evictions it causes need queue slots; worst case one read
-    // plus one L2 writeback.
-    if (mshr_.size() >= cfg_.mshrs || !port_.canSend(2))
-        return {CacheOutcome::Retry, 0};
-
+    // L2 miss, with capacity checked above.
     auto &waiters = mshr_[block];
     if (waiter != kNoWaiter)
         waiters.push_back(waiter);
@@ -72,6 +78,44 @@ CacheHierarchy::access(Addr addr, bool is_write, std::uint64_t waiter,
     }
     fillL1(block, is_write);
     return {CacheOutcome::Miss, 0};
+}
+
+bool
+CacheHierarchy::capacityFreed()
+{
+    if (!backpressured_ || !missCapacity())
+        return false;
+    backpressured_ = false;
+    return true;
+}
+
+CacheCounters
+CacheHierarchy::counters() const
+{
+    CacheCounters c;
+    c.accesses = accesses_;
+    c.mshrMerges = mshrMerges_;
+    c.l1Hits = l1d_.hits();
+    c.l1Misses = l1d_.misses();
+    c.l2Hits = l2_.hits();
+    c.l2Misses = l2_.misses();
+    c.memReads = memReads_;
+    c.memWrites = memWrites_;
+    return c;
+}
+
+CacheCounters &
+CacheCounters::operator+=(const CacheCounters &o)
+{
+    accesses += o.accesses;
+    mshrMerges += o.mshrMerges;
+    l1Hits += o.l1Hits;
+    l1Misses += o.l1Misses;
+    l2Hits += o.l2Hits;
+    l2Misses += o.l2Misses;
+    memReads += o.memReads;
+    memWrites += o.memWrites;
+    return *this;
 }
 
 void
@@ -91,6 +135,7 @@ CacheHierarchy::onMemResponse(Addr block_addr)
         return {};
     std::vector<std::uint64_t> waiters = std::move(it->second);
     mshr_.erase(it);
+    capacityFreed();
     return waiters;
 }
 

@@ -24,7 +24,14 @@
 namespace bsim::cpu
 {
 
-/** Downstream port the hierarchy uses to reach main memory. */
+/**
+ * Downstream port the hierarchy uses to reach main memory.
+ *
+ * Capacity contract: canSend() may turn from false to true only when
+ * the port's owner drains a queued request, and the owner must then
+ * call CacheHierarchy::capacityFreed(). Back-pressured accesses wait
+ * for that call (or an MSHR release) instead of re-probing the caches.
+ */
 class MemPort
 {
   public:
@@ -48,13 +55,41 @@ struct HierarchyConfig
     std::uint32_t mshrs = 32;        //!< outstanding fill limit
 };
 
+/** Which resource refused a would-be memory miss. */
+enum class RetryCause : std::uint8_t
+{
+    MshrFull, //!< every MSHR holds an outstanding fill
+    FsbFull,  //!< the port has no room for a fill plus a writeback
+};
+
+/**
+ * Event counts of one hierarchy. A refused access (CacheOutcome::Retry)
+ * counts nowhere, so the counts conserve:
+ *   accesses == mshrMerges + l1Hits + l1Misses
+ *   l1Misses == l2Hits + l2Misses,  l2Misses == memReads
+ */
+struct CacheCounters
+{
+    std::uint64_t accesses = 0;   //!< accesses taken (not refused)
+    std::uint64_t mshrMerges = 0; //!< merged into an in-flight fill
+    std::uint64_t l1Hits = 0;
+    std::uint64_t l1Misses = 0;
+    std::uint64_t l2Hits = 0;
+    std::uint64_t l2Misses = 0;
+    std::uint64_t memReads = 0;  //!< fills sent to memory
+    std::uint64_t memWrites = 0; //!< dirty L2 writebacks sent
+
+    CacheCounters &operator+=(const CacheCounters &o);
+};
+
 /** Where an access was satisfied. */
 enum class CacheOutcome : std::uint8_t
 {
     L1Hit,
     L2Hit,
     Miss,   //!< memory read started (or merged into an in-flight fill)
-    Retry,  //!< resources exhausted (MSHRs or memory queue); try again
+    Retry,  //!< would miss, but MSHRs or the port are full; nothing
+            //!< was counted or changed
 };
 
 /** Result of a hierarchy access. */
@@ -78,7 +113,10 @@ class CacheHierarchy
      * Perform a load (@p is_write false) or store (@p is_write true) to
      * the block of @p addr. When the access must wait for a memory fill
      * and @p waiter is not kNoWaiter, the waiter id is recorded and
-     * handed back by onMemResponse().
+     * handed back by onMemResponse(). A would-be memory miss without
+     * capacity (MSHRs full, or no port room for a fill plus a
+     * writeback) returns Retry before anything is counted or changed,
+     * and marks the hierarchy back-pressured.
      */
     HierarchyResult access(Addr addr, bool is_write,
                            std::uint64_t waiter = kNoWaiter,
@@ -89,6 +127,30 @@ class CacheHierarchy
      * returns the ids waiting on it.
      */
     std::vector<std::uint64_t> onMemResponse(Addr block_addr);
+
+    /**
+     * True from a Retry until capacity frees. While set, every access
+     * that would miss to memory is refused again, and no refused block
+     * can have been installed (that takes a miss, which takes
+     * capacity), so a caller may hold refused accesses instead of
+     * re-probing them.
+     */
+    bool backpressured() const { return backpressured_; }
+
+    /**
+     * The port drained a request (see MemPort). Clears the
+     * back-pressure once a miss would be accepted again; returns true
+     * exactly then. O(1) when not back-pressured.
+     */
+    bool capacityFreed();
+
+    /** What refuses a would-be miss now; meaningful while
+     *  backpressured(). */
+    RetryCause retryCause() const
+    {
+        return mshr_.size() >= cfg_.mshrs ? RetryCause::MshrFull
+                                          : RetryCause::FsbFull;
+    }
 
     /**
      * Steady-state warmup: install @p block in L2 (and in L1 when
@@ -116,10 +178,19 @@ class CacheHierarchy
     /** Accesses merged into an in-flight fill. */
     std::uint64_t mshrMerges() const { return mshrMerges_; }
 
+    /** All event counts (see CacheCounters). */
+    CacheCounters counters() const;
+
   private:
     Addr blockBase(Addr a) const
     {
         return a & ~Addr(cfg_.l1d.blockBytes - 1);
+    }
+
+    /** Room for a fill plus its worst-case L2 writeback. */
+    bool missCapacity() const
+    {
+        return mshr_.size() < cfg_.mshrs && port_.canSend(2);
     }
 
     /** Fill @p block into L1 (and L2 on a memory fill), routing dirty
@@ -131,9 +202,11 @@ class CacheHierarchy
     Cache l1d_;
     Cache l2_;
     std::unordered_map<Addr, std::vector<std::uint64_t>> mshr_;
+    std::uint64_t accesses_ = 0;
     std::uint64_t memReads_ = 0;
     std::uint64_t memWrites_ = 0;
     std::uint64_t mshrMerges_ = 0;
+    bool backpressured_ = false;
 };
 
 } // namespace bsim::cpu

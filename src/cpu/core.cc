@@ -62,6 +62,18 @@ Core::startLoad(RobEntry &e, std::uint64_t now)
 }
 
 void
+Core::setParked(RobEntry &e, bool parked)
+{
+    if (e.parked != parked) {
+        e.parked = parked;
+        if (parked)
+            parked_ += 1;
+        else
+            parked_ -= 1;
+    }
+}
+
+void
 Core::retire(std::uint64_t now)
 {
     for (std::uint32_t i = 0; i < cfg_.issueWidth; ++i) {
@@ -76,8 +88,14 @@ Core::retire(std::uint64_t now)
             // Stores perform at retirement (store-buffer semantics). A
             // congested memory path stalls retirement here: this is how
             // write-queue saturation reaches the pipeline.
-            const HierarchyResult r = mem_.access(head.addr, true);
-            if (r.outcome == CacheOutcome::Retry) {
+            if (head.parked && holdParked_) {
+                storeStalls_ += 1;
+                return;
+            }
+            const bool refused =
+                mem_.access(head.addr, true).outcome == CacheOutcome::Retry;
+            setParked(head, refused);
+            if (refused) {
                 storeStalls_ += 1;
                 return;
             }
@@ -102,8 +120,14 @@ Core::startPendingLoads(std::uint64_t now)
         RobEntry *e = entryOf(seq);
         if (!e || e->started)
             continue;
-        if (!producerReady(*e, now) || !startLoad(*e, now))
-            pendingLoads_.push_back(seq); // retry next cycle
+        if ((e->parked && holdParked_) || !producerReady(*e, now)) {
+            pendingLoads_.push_back(seq);
+            continue;
+        }
+        const bool started = startLoad(*e, now);
+        setParked(*e, !started);
+        if (!started)
+            pendingLoads_.push_back(seq); // parked until capacity frees
     }
 }
 
@@ -154,8 +178,12 @@ Core::issue(std::uint64_t now)
         rob_.push_back(e);
         if (in.op == trace::TraceInstr::Op::Load) {
             RobEntry &placed = rob_.back();
-            if (placed.producerSeq != kTickMax || !startLoad(placed, now))
+            if (placed.producerSeq != kTickMax) {
                 pendingLoads_.push_back(placed.seq);
+            } else if (!startLoad(placed, now)) {
+                setParked(placed, true);
+                pendingLoads_.push_back(placed.seq);
+            }
         }
         lookaheadValid_ = false;
     }
@@ -164,27 +192,53 @@ Core::issue(std::uint64_t now)
 void
 Core::cpuCycle(std::uint64_t now)
 {
+    // Parked accesses are retried, in seq order (the store head first),
+    // in the first cycle that begins with capacity freed. The verdict is
+    // taken once per cycle: a retried access may allocate the MSHR that
+    // a later parked access to the same block must merge into, even
+    // after a third one has been refused again.
+    holdParked_ = mem_.backpressured();
     retire(now);
     startPendingLoads(now);
     issue(now);
+    if (parked_)
+        retryCycles_[std::size_t(mem_.retryCause())] += 1;
+}
+
+void
+Core::skipStallCycles(std::uint64_t n)
+{
+    const RobEntry &head = rob_.front();
+    if (head.op == trace::TraceInstr::Op::Store && head.parked)
+        storeStalls_ += n;
+    else
+        headStalls_ += n;
+    if (parked_)
+        retryCycles_[std::size_t(mem_.retryCause())] += n;
 }
 
 bool
 Core::quiescentAt(std::uint64_t now) const
 {
-    // retire(): must stop at an unready head without touching the
-    // hierarchy (a ready store head retries mem_.access every cycle).
-    if (rob_.empty() || rob_.front().readyAt <= now)
+    // A parked access stays parked while the hierarchy is still
+    // back-pressured: its retry would be refused again.
+    const bool hold = mem_.backpressured();
+    // retire(): must stop at an unready head or a parked store head
+    // without touching the hierarchy.
+    if (rob_.empty())
+        return false;
+    const RobEntry &head = rob_.front();
+    if (head.readyAt <= now && !(head.parked && hold))
         return false;
     // startPendingLoads(): no live pending load may have a ready
     // producer — startLoad() would do a cache lookup, which mutates
-    // hit/miss counters and LRU order even when it returns Retry.
-    // Stale entries (retired producer window or already started) are
-    // no-ops; they are dropped lazily at the next real cycle, which
-    // preserves the live entries' relative order.
+    // hit/miss counters and LRU order. Stale entries (retired producer
+    // window or already started) are no-ops; they are dropped lazily
+    // at the next real cycle, which preserves the live entries'
+    // relative order.
     for (std::uint64_t seq : pendingLoads_) {
         const RobEntry *e = entryOf(seq);
-        if (!e || e->started)
+        if (!e || e->started || (e->parked && hold))
             continue;
         if (producerReady(*e, now))
             return false;
@@ -207,11 +261,14 @@ Core::nextLocalEventCpu(std::uint64_t now) const
     // load's producer does; both are readyAt timestamps already fixed.
     // Issue-side blocks (full ROB / LSQ) clear only through retirement,
     // which the head's readyAt already bounds. kTickMax entries wait on
-    // a memory response, which the System tracks separately.
-    std::uint64_t e = rob_.front().readyAt;
+    // a memory response, and parked accesses on freed capacity, which
+    // the System tracks separately.
+    const RobEntry &head = rob_.front();
+    std::uint64_t e = head.parked ? kTickMax : head.readyAt;
     for (std::uint64_t seq : pendingLoads_) {
         const RobEntry *pe = entryOf(seq);
-        if (!pe || pe->started || pe->producerSeq == kTickMax)
+        if (!pe || pe->started || pe->parked ||
+            pe->producerSeq == kTickMax)
             continue;
         const RobEntry *p = entryOf(pe->producerSeq);
         if (p && p->readyAt < e)

@@ -67,6 +67,19 @@ class Core
     /** Cycles retirement was blocked by memory back-pressure (stores). */
     std::uint64_t storeStallCycles() const { return storeStalls_; }
 
+    /**
+     * Cycles in which some access (a ready load or the store head) was
+     * held back because every MSHR was busy, or because the memory port
+     * was full (@p cause FsbFull).
+     */
+    std::uint64_t retryCycles(RetryCause cause) const
+    {
+        return retryCycles_[std::size_t(cause)];
+    }
+
+    /** True while an access waits for the hierarchy's capacity. */
+    bool parked() const { return parked_ != 0; }
+
     /** Current ROB occupancy. */
     std::size_t robOccupancy() const { return rob_.size(); }
 
@@ -75,22 +88,27 @@ class Core
      * blocked on an unready head, no pending load able to start, and
      * issue blocked without pulling from the trace. Such a cycle's only
      * effect is one headStalls_ increment, so the cycle-skipping engine
-     * may batch it. Cache lookups mutate hit/miss counters and LRU even
-     * on a Retry, so any cycle that might call into the hierarchy is
-     * not quiescent.
+     * may batch it. Cache lookups mutate hit/miss counters and LRU, so
+     * any cycle that might call into the hierarchy is not quiescent. A
+     * parked access (one the back-pressured hierarchy refused) is not
+     * retried until capacity frees, so it does not break quiescence.
      */
     bool quiescentAt(std::uint64_t now) const;
 
     /**
      * Next CPU cycle at which this core leaves quiescence on its own:
      * the head's readyAt or the first producer wakeup of a blocked
-     * pending load. kTickMax when only a memory response can wake it.
-     * Only meaningful while quiescentAt(now) holds.
+     * pending load. kTickMax when only a memory response or freed
+     * capacity can wake it. Only meaningful while quiescentAt(now)
+     * holds.
      */
     std::uint64_t nextLocalEventCpu(std::uint64_t now) const;
 
-    /** Bulk-apply @p n skipped quiescent cycles (all head stalls). */
-    void skipStallCycles(std::uint64_t n) { headStalls_ += n; }
+    /**
+     * Bulk-apply @p n skipped quiescent cycles: head stalls, or store
+     * stalls behind a parked store head, plus their retry cycles.
+     */
+    void skipStallCycles(std::uint64_t n);
 
   private:
     struct RobEntry
@@ -102,6 +120,7 @@ class Core
         std::uint64_t producerSeq = kTickMax; //!< dep-chain producer
         bool started = false; //!< load sent to the hierarchy
         bool isChainHead = false; //!< member of a dependence chain
+        bool parked = false; //!< refused; waits for freed capacity
     };
 
     RobEntry *entryOf(std::uint64_t seq);
@@ -109,6 +128,8 @@ class Core
     bool producerReady(const RobEntry &e, std::uint64_t now) const;
     /** Try to send a load to the hierarchy; false on resource retry. */
     bool startLoad(RobEntry &e, std::uint64_t now);
+    /** Record whether the last try of @p e was refused. */
+    void setParked(RobEntry &e, bool parked);
     void retire(std::uint64_t now);
     void startPendingLoads(std::uint64_t now);
     void issue(std::uint64_t now);
@@ -133,6 +154,11 @@ class Core
     std::uint64_t stores_ = 0;
     std::uint64_t headStalls_ = 0;
     std::uint64_t storeStalls_ = 0;
+    std::uint32_t parked_ = 0; //!< parked loads plus a parked store head
+    /** Parked accesses sit out this cycle: the hierarchy was still
+     *  back-pressured when the cycle began. */
+    bool holdParked_ = false;
+    std::uint64_t retryCycles_[2] = {}; //!< by RetryCause
 };
 
 } // namespace bsim::cpu

@@ -5,6 +5,7 @@
 #include "common/error.hh"
 #include "obs/engine_introspect.hh"
 #include "obs/observability.hh"
+#include "sim/conservation.hh"
 #include "sim/report.hh"
 #include "trace/spec_profiles.hh"
 
@@ -133,6 +134,19 @@ checkPoint(const FuzzPoint &p, const OracleOptions &opt)
         v.oracle = "engine_equivalence";
         v.detail = "stall JSON diverges; " + firstDiff(ss, ks);
         return v;
+    }
+
+    // Layer conservation: the cache counts of each run must match the
+    // controller's, identity by identity.
+    for (const sim::RunResult *r : {&step, &skip}) {
+        const std::string why = sim::conservationViolation(r->caches, r->ctrl);
+        if (!why.empty()) {
+            v.ok = false;
+            v.oracle = "layer_conservation";
+            v.detail = std::string(r == &step ? "step" : "skip") +
+                       " engine: " + why;
+            return v;
+        }
     }
 
     // Telescoping identity: each channel's cause counts partition its

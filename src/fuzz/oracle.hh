@@ -11,6 +11,11 @@
  *  - engine_equivalence
  *                    the step and skip engines must produce byte-
  *                    identical result and stall-attribution JSON;
+ *  - layer_conservation
+ *                    under both engines, the cache hierarchy's counts
+ *                    must conserve and match the controller's (see
+ *                    sim/conservation.hh): every L2 miss is one memory
+ *                    read, every memory write reaches the controller;
  *  - telescoping     per channel, the per-cause stall counts must sum
  *                    exactly to the attributed cycles, which must equal
  *                    the run's memory cycles;

@@ -255,7 +255,8 @@ toConfig(const FuzzPoint &p, const std::string &scratch_dir)
                               "cannot write scratch trace '%s'",
                               path.string().c_str());
         }
-        cfg.workload = "@" + path.string();
+        // A char, not "@": GCC 12 flags that with a false -Wrestrict.
+        cfg.workload = '@' + path.string();
     } else {
         cfg.workload = p.workload;
     }

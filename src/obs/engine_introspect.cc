@@ -30,6 +30,7 @@ wakeReasonName(WakeReason r)
       case WakeReason::CoreWake: return "core_wake";
       case WakeReason::Response: return "response";
       case WakeReason::FsbAdmit: return "fsb_admit";
+      case WakeReason::Backpressure: return "backpressure";
       case WakeReason::PendingData: return "pending_data";
       case WakeReason::Refresh: return "refresh";
       case WakeReason::SchedArbFill: return "sched_arb_fill";

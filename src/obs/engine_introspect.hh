@@ -47,6 +47,8 @@ enum class WakeReason : std::uint8_t
     CoreWake,          //!< a quiesced core's wake-up event
     Response,          //!< a completed read's delivery tick
     FsbAdmit,          //!< a front-side-bus front becomes admittable
+    Backpressure,      //!< a response or admission for a core whose
+                       //!< refused (parked) accesses wait on capacity
     PendingData,       //!< an in-flight read's data completion
     Refresh,           //!< refresh due / drain completion
     SchedArbFill,      //!< scheduler: idle bank with queued work
@@ -62,7 +64,7 @@ enum class WakeReason : std::uint8_t
     Unbounded,         //!< no finite bound (idle until new work)
 };
 
-constexpr std::size_t kNumWakeReasons = 16;
+constexpr std::size_t kNumWakeReasons = 17;
 
 /** Stable printable name (used in JSON, CSV and docs). */
 const char *wakeReasonName(WakeReason r);

@@ -267,9 +267,12 @@ runExperiment(const ExperimentConfig &cfg)
         double(r.memCycles) / (sys_cfg.busMHz * 1e6);
     r.bandwidthGBs =
         seconds > 0 ? double(r.ctrl.bytesTransferred) / seconds / 1e9 : 0.0;
-    r.l2Misses = sys.caches().l2().misses();
-    r.memReads = sys.caches().memReads();
-    r.memWrites = sys.caches().memWrites();
+    r.caches = sys.caches().counters();
+    r.l2Misses = r.caches.l2Misses;
+    r.memReads = r.caches.memReads;
+    r.memWrites = r.caches.memWrites;
+    r.mshrFullCycles = sys.core().retryCycles(cpu::RetryCause::MshrFull);
+    r.fsbFullCycles = sys.core().retryCycles(cpu::RetryCause::FsbFull);
     r.dramCommands = sys.mem().commandCounts();
     const double clock_ns = 1e3 / sys_cfg.busMHz;
     r.energy = dram::estimateEnergy(r.dramCommands, r.memCycles,
@@ -335,6 +338,7 @@ runCmpShifted(const CmpConfig &cfg, const std::vector<std::size_t> &shifts)
         r.perCoreCpuCycles.push_back(cycles);
         r.perCoreIpc.push_back(
             cycles ? double(instr) / double(cycles) : 0.0);
+        r.caches += sys.caches(i).counters();
     }
     r.ctrl = sys.controller().stats();
     r.dataBusUtil = sys.mem().dataBusUtilization(sys.memCycles());

@@ -149,6 +149,12 @@ struct RunResult
     std::uint64_t l2Misses = 0;
     std::uint64_t memReads = 0;
     std::uint64_t memWrites = 0;
+    /** Every hierarchy count (the three above repeat three of them). */
+    cpu::CacheCounters caches;
+    /** CPU cycles in which an access was held back because every MSHR
+     *  was busy, or because the FSB queue was full (Core::retryCycles). */
+    std::uint64_t mshrFullCycles = 0;
+    std::uint64_t fsbFullCycles = 0;
 
     /** DRAM energy estimate over the run (extension; see dram/power.hh). */
     dram::EnergyBreakdown energy;
@@ -220,6 +226,7 @@ struct CmpResult
     std::vector<std::uint64_t> perCoreCpuCycles;
     std::vector<double> perCoreIpc; //!< shared-run IPC per core
     ctrl::ControllerStats ctrl;
+    cpu::CacheCounters caches; //!< summed over the cores
     double dataBusUtil = 0.0;
     double bandwidthGBs = 0.0;
     /** Filled by runCmpFairness() only. */

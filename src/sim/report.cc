@@ -117,6 +117,10 @@ writeResultJson(std::ostream &os, const RunResult &r)
     w.key("l2_misses").value(r.l2Misses);
     w.key("mem_reads").value(r.memReads);
     w.key("mem_writes").value(r.memWrites);
+    w.key("retry_cycles").beginObject();
+    w.key("mshr_full").value(r.mshrFullCycles);
+    w.key("fsb_full").value(r.fsbFullCycles);
+    w.endObject();
     w.key("controller").beginObject();
     writeControllerStats(w, r.ctrl);
     w.endObject();
@@ -272,6 +276,9 @@ writeResultText(std::ostream &os, const RunResult &r)
     t.row({"effective bandwidth", Table::num(r.bandwidthGBs, 2) + " GB/s"});
     t.row({"memory reads / writes", std::to_string(r.ctrl.reads) + " / " +
                                         std::to_string(r.ctrl.writes)});
+    t.row({"retry cycles: MSHR full / FSB full",
+           std::to_string(r.mshrFullCycles) + " / " +
+               std::to_string(r.fsbFullCycles)});
     t.row({"DRAM energy / avg power",
            Table::num(r.energy.total() * 1e3, 2) + " mJ / " +
                Table::num(r.avgPowerW, 2) + " W"});

@@ -171,6 +171,10 @@ System::admitFsb()
                                      : AccessType::Read,
                           rq.addr, now_, nullptr, rrCore_, rq.critical);
             node.fsbQueue.pop_front();
+            // The MemPort capacity contract: a pop may let the core's
+            // parked accesses retry, which ends its quiescence.
+            if (node.caches->capacityFreed())
+                node.quiesceValid = false;
             idle = 0;
         } else {
             idle += 1;
@@ -210,6 +214,9 @@ System::tick()
     }
 
     // 4. CPU cycles within this memory cycle, for every running core.
+    // Skip engine: a core quiescent through the whole window (checked
+    // after delivery and admission, either of which may wake it) only
+    // stalls, so its cycles are applied in bulk.
     obs::prof::Scope cpu_prof(obs::prof::Phase::CpuPhase);
     const bool ed = cfg_.engine == EngineKind::Skip;
     const std::uint32_t window = cfg_.cpuCyclesPerMemCycle;
@@ -218,6 +225,12 @@ System::tick()
         CoreNode &node = cores_[i];
         if (node.done)
             continue;
+        if (ed && coreQuiescent(node) &&
+            node.quiesceEventCpu >= cpuNow_ + window) {
+            node.core->skipStallCycles(window);
+            all_done = false;
+            continue;
+        }
         node.quiesceValid = false; // the phase below mutates the core
         for (std::uint32_t c = 0; c < window; ++c) {
             node.core->cpuCycle(cpuNow_ + c);
@@ -228,9 +241,10 @@ System::tick()
             }
             // Skip engine: once the core goes quiescent mid-window with
             // no local wakeup before the window ends, the remaining CPU
-            // cycles are pure head-stalls (responses arrive only at
-            // tick boundaries) — apply them in bulk. The verdict also
-            // primes the quiescence cache for the next cpuQuiet().
+            // cycles are pure stalls (responses and freed capacity
+            // arrive only at tick boundaries) — apply them in bulk. The
+            // verdict also primes the quiescence cache for the next
+            // tick.
             if (ed && c + 1 < window &&
                 node.core->quiescentAt(cpuNow_ + c + 1)) {
                 const std::uint64_t ev =
@@ -264,45 +278,6 @@ System::coreQuiescent(CoreNode &node)
         node.quiesceValid = true;
     }
     return true;
-}
-
-bool
-System::cpuQuiet()
-{
-    if (!respQueue_.empty() && respQueue_.top().at <= now_)
-        return false;
-    for (CoreNode &node : cores_) {
-        if (node.done)
-            continue;
-        if (!coreQuiescent(node) ||
-            node.quiesceEventCpu < cpuNow_ + cfg_.cpuCyclesPerMemCycle)
-            return false;
-    }
-    return true;
-}
-
-void
-System::fastTick()
-{
-    // cpuQuiet() established: no response due, every running core
-    // quiescent through this tick's whole CPU-cycle window. Each of
-    // those CPU cycles would only bump headStalls_, so apply them in
-    // bulk; the memory side runs exactly as in tick().
-    if (intro_)
-        intro_->noteStepped();
-    {
-        obs::prof::Scope prof(obs::prof::Phase::CtrlTick);
-        ctrl_->tick(now_);
-    }
-    {
-        obs::prof::Scope prof(obs::prof::Phase::FsbAdmit);
-        admitFsb();
-    }
-    for (CoreNode &node : cores_)
-        if (!node.done)
-            node.core->skipStallCycles(cfg_.cpuCyclesPerMemCycle);
-    cpuNow_ += cfg_.cpuCyclesPerMemCycle;
-    now_ += 1;
 }
 
 bool
@@ -354,10 +329,19 @@ System::skipHorizon(obs::WakeSource *src)
                      obs::WakeReason::CoreWake);
     }
 
+    // A delivery or admission for a core with parked accesses frees
+    // capacity they wait on: attributed as back-pressure.
+    const auto core_event = [this](std::uint32_t core, obs::WakeReason r) {
+        return cores_[core].core->parked() ? obs::WakeReason::Backpressure
+                                           : r;
+    };
+
     // Response delivery, controller activity (completions, refresh,
     // scheduler issue opportunities, metrics epochs).
     if (!respQueue_.empty())
-        consider(respQueue_.top().at, obs::WakeReason::Response);
+        consider(respQueue_.top().at,
+                 core_event(respQueue_.top().core,
+                            obs::WakeReason::Response));
     obs::WakeSource ctrl_src;
     const Tick ctrl_t =
         ctrl_->nextEventTick(now_, src ? &ctrl_src : nullptr);
@@ -371,10 +355,10 @@ System::skipHorizon(obs::WakeSource *src)
     // come of age is admitted that very tick. (Without room, the
     // unblocking issue is already a controller event.)
     if (ctrl_->canAccept()) {
-        for (const CoreNode &node : cores_)
-            if (!node.fsbQueue.empty())
-                consider(node.fsbQueue.front().readyAt,
-                         obs::WakeReason::FsbAdmit);
+        for (std::uint32_t i = 0; i < numCores(); ++i)
+            if (!cores_[i].fsbQueue.empty())
+                consider(cores_[i].fsbQueue.front().readyAt,
+                         core_event(i, obs::WakeReason::FsbAdmit));
     }
 
     return h;
@@ -457,19 +441,12 @@ System::run(Tick max_ticks)
         checkProgress(watch);
         if (now_ - start >= max_ticks)
             break;
-        if (!skip) {
-            tick();
-            continue;
-        }
-        // With a dead CPU phase the tick degrades to its memory side
-        // plus a bulk stall update; when the memory side is idle too,
-        // the horizon then covers whole spans of such ticks at once.
-        const bool quiet = cpuQuiet();
-        if (quiet)
-            fastTick();
-        else
-            tick();
-        if (done())
+        // Under the skip engine a tick with a dead CPU phase degrades to
+        // its memory side plus a bulk stall update; when the memory side
+        // is idle too, the horizon then covers whole spans of such ticks
+        // at once.
+        tick();
+        if (!skip || done())
             continue;
         obs::WakeSource wake;
         Tick h = skipHorizon(intro_ ? &wake : nullptr);

@@ -199,8 +199,9 @@ class System
         /**
          * Cached quiescence verdict (skip engine). Once a core is
          * quiescent it stays so until its own wakeup cycle
-         * (quiesceEventCpu) or a memory response; the cache is
-         * invalidated on delivery and after any real CPU phase, so the
+         * (quiesceEventCpu), a memory response or freed FSB capacity;
+         * the cache is invalidated on delivery, on an admission that
+         * frees capacity, and after any real CPU phase, so the
          * per-tick check is O(1) instead of a ROB/pending-load walk.
          */
         bool quiesceValid = false;
@@ -245,7 +246,7 @@ class System
      */
     void checkProgress(WatchState &w);
 
-    /** FSB admission (tick step 3), shared by tick() and fastTick(). */
+    /** FSB admission (tick step 3). */
     void admitFsb();
 
     /**
@@ -253,19 +254,6 @@ class System
      * quiescent at cpuNow_.
      */
     bool coreQuiescent(CoreNode &node);
-
-    /**
-     * True when this tick's whole CPU phase is provably dead: no
-     * response due and every running core quiescent past the end of
-     * the tick's CPU-cycle window.
-     */
-    bool cpuQuiet();
-
-    /**
-     * tick() with the CPU phase replaced by a bulk head-stall update.
-     * Only legal when cpuQuiet() holds; statistics are identical.
-     */
-    void fastTick();
 
     /**
      * Earliest tick >= now_ at which anything observable can happen:

@@ -256,9 +256,11 @@ TEST(CampaignSupervisor, DoubleCrashQuarantinesPointAndCampaignCompletes)
               std::string::npos);
 
     // ...and every other point still completed.
-    for (std::size_t i = 0; i < points.size(); ++i)
-        if (i != 2)
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (i != 2) {
             EXPECT_TRUE(rep.sweep.slots[i].run.ok) << "slot " << i;
+        }
+    }
     ASSERT_EQ(rep.shards.size(), 2u);
     EXPECT_EQ(rep.shards[0].crashes, 2u);
     EXPECT_EQ(rep.shards[0].launches, 3u);
@@ -360,9 +362,11 @@ TEST(CampaignSupervisor, HungWorkerIsDeadlineKilledAndQuarantined)
     EXPECT_TRUE(rep.shards[0].completed);
     // The healthy shard never tripped the deadline.
     EXPECT_EQ(rep.shards[1].deadlineKills, 0u);
-    for (std::size_t i = 0; i < points.size(); ++i)
-        if (i != 2)
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (i != 2) {
             EXPECT_TRUE(rep.sweep.slots[i].run.ok) << "slot " << i;
+        }
+    }
 }
 
 TEST(CampaignSupervisor, SigkilledSupervisorResumesToIdenticalCsv)

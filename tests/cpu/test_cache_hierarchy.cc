@@ -131,6 +131,72 @@ TEST(Hierarchy, PortBackPressureForcesRetry)
     EXPECT_EQ(h.mshrsInUse(), 0u) << "retry must not leak an MSHR";
 }
 
+TEST(Hierarchy, RetryCountsNothingAndHoldsUntilCapacityFrees)
+{
+    FakePort port;
+    port.cap = 1;
+    CacheHierarchy h(tinyConfig(), port);
+    EXPECT_FALSE(h.capacityFreed()) << "not back-pressured: a no-op";
+    EXPECT_EQ(h.access(0x1000, false).outcome, CacheOutcome::Retry);
+    EXPECT_TRUE(h.backpressured());
+    EXPECT_EQ(h.retryCause(), RetryCause::FsbFull);
+    const CacheCounters c = h.counters();
+    EXPECT_EQ(c.accesses, 0u);
+    EXPECT_EQ(c.l1Misses, 0u);
+    EXPECT_EQ(c.l2Misses, 0u);
+
+    EXPECT_FALSE(h.capacityFreed()) << "the port is still full";
+    EXPECT_TRUE(h.backpressured());
+    port.cap = 1000;
+    EXPECT_TRUE(h.capacityFreed());
+    EXPECT_FALSE(h.backpressured());
+    EXPECT_EQ(h.access(0x1000, false).outcome, CacheOutcome::Miss);
+    EXPECT_EQ(h.counters().l2Misses, 1u);
+}
+
+TEST(Hierarchy, BackpressureStillServesHitsAndMerges)
+{
+    FakePort port;
+    CacheHierarchy h(tinyConfig(), port);
+    h.prefill(0x2000, false, /*l1*/ true);
+    h.prefill(0x3000, false);
+    for (Addr a = 0; a < 4; ++a)
+        h.access(0x10000 + a * 64, false, a);
+    EXPECT_EQ(h.access(0x20000, false).outcome, CacheOutcome::Retry);
+    EXPECT_EQ(h.retryCause(), RetryCause::MshrFull);
+    EXPECT_EQ(h.access(0x2000, false).outcome, CacheOutcome::L1Hit);
+    EXPECT_EQ(h.access(0x3000, false).outcome, CacheOutcome::L2Hit);
+    EXPECT_EQ(h.access(0x10000, false, 9).outcome, CacheOutcome::Miss);
+    EXPECT_EQ(h.mshrMerges(), 1u);
+
+    // An MSHR release lifts the back-pressure.
+    h.onMemResponse(0x10000);
+    EXPECT_FALSE(h.backpressured());
+}
+
+TEST(Hierarchy, CountersConserve)
+{
+    FakePort port;
+    port.cap = 3;
+    CacheHierarchy h(tinyConfig(), port);
+    for (Addr a = 0; a < 40; ++a) {
+        const Addr addr = (a * 7 % 13) * 64;
+        h.access(addr, a % 3 == 0, a);
+        if (a % 4 == 3) {
+            // Drain the port and return the oldest fill.
+            port.reads.clear();
+            port.writes.clear();
+            h.capacityFreed();
+            h.onMemResponse(((a - 3) * 7 % 13) * 64);
+        }
+    }
+    const CacheCounters c = h.counters();
+    EXPECT_EQ(c.accesses, c.mshrMerges + c.l1Hits + c.l1Misses);
+    EXPECT_EQ(c.l1Misses, c.l2Hits + c.l2Misses);
+    EXPECT_EQ(c.l2Misses, c.memReads);
+    EXPECT_GT(c.memReads, 0u);
+}
+
 TEST(Hierarchy, StoreMissAllocatesAndDirties)
 {
     FakePort port;

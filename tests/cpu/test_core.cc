@@ -68,13 +68,21 @@ store(Addr a)
 
 struct Fixture
 {
-    Fixture()
+    explicit Fixture(std::uint32_t mshrs = 8)
     {
         HierarchyConfig hcfg;
         hcfg.l1d = {512, 2, 64};
         hcfg.l2 = {2048, 2, 64};
-        hcfg.mshrs = 8;
+        hcfg.mshrs = mshrs;
         hier = std::make_unique<CacheHierarchy>(hcfg, port);
+    }
+
+    /** Unblock the port and report it, as the MemPort contract asks. */
+    void
+    unblock()
+    {
+        port.blocked = false;
+        hier->capacityFreed();
     }
 
     void
@@ -238,9 +246,92 @@ TEST(Core, BlockedMemoryStallsStoreRetirement)
         f.core->cpuCycle(f.now++);
     EXPECT_EQ(f.core->retired(), 0u);
     EXPECT_GT(f.core->storeStallCycles(), 0u);
-    f.port.blocked = false;
+    f.unblock();
     f.run(10000, 20);
     EXPECT_TRUE(f.core->done());
+}
+
+TEST(Core, ParkedStoreHeadWaitsForFreedCapacity)
+{
+    Fixture f;
+    f.port.blocked = true;
+    f.makeCore({store(0x50000), compute()});
+    for (int c = 0; c < 10; ++c)
+        f.core->cpuCycle(f.now++);
+    // Cycle 0 issues; the store is ready and refused from cycle 1 on.
+    EXPECT_EQ(f.core->storeStallCycles(), 9u);
+    EXPECT_EQ(f.core->retryCycles(RetryCause::FsbFull), 9u);
+    EXPECT_EQ(f.core->retryCycles(RetryCause::MshrFull), 0u);
+    // The refusal counted nothing and the parked head is not re-probed.
+    EXPECT_EQ(f.hier->l1d().misses(), 0u);
+    EXPECT_EQ(f.hier->counters().accesses, 0u);
+    // Parked behind the port, the core is quiescent with no local wakeup.
+    EXPECT_TRUE(f.core->parked());
+    EXPECT_TRUE(f.core->quiescentAt(f.now));
+    EXPECT_EQ(f.core->nextLocalEventCpu(f.now), kTickMax);
+    // Bulk-skipped cycles count exactly as stepped ones would.
+    f.core->skipStallCycles(5);
+    EXPECT_EQ(f.core->storeStallCycles(), 14u);
+    EXPECT_EQ(f.core->retryCycles(RetryCause::FsbFull), 14u);
+
+    f.unblock();
+    EXPECT_FALSE(f.core->quiescentAt(f.now));
+    f.core->cpuCycle(f.now++);
+    EXPECT_EQ(f.core->stores(), 1u);
+    EXPECT_FALSE(f.core->parked());
+    EXPECT_EQ(f.hier->memReads(), 1u);
+    EXPECT_EQ(f.core->storeStallCycles(), 14u);
+}
+
+TEST(Core, ParkedLoadsWakeInSeqOrder)
+{
+    Fixture f(/*mshrs*/ 2);
+    f.port.blocked = true;
+    f.makeCore({load(0x10000), load(0x20000), load(0x30000), compute()});
+    for (int c = 0; c < 5; ++c)
+        f.core->cpuCycle(f.now++);
+    EXPECT_TRUE(f.port.pending.empty());
+    EXPECT_EQ(f.core->retryCycles(RetryCause::FsbFull), 5u);
+
+    // Capacity for two fills: the two oldest loads take it, in order.
+    f.unblock();
+    f.core->cpuCycle(f.now++);
+    ASSERT_EQ(f.port.pending.size(), 2u);
+    EXPECT_EQ(f.port.pending[0], 0x10000u);
+    EXPECT_EQ(f.port.pending[1], 0x20000u);
+    EXPECT_TRUE(f.core->parked());
+    EXPECT_EQ(f.core->retryCycles(RetryCause::MshrFull), 1u);
+
+    // Still parked while the MSHRs stay full, however many cycles pass.
+    for (int c = 0; c < 5; ++c)
+        f.core->cpuCycle(f.now++);
+    EXPECT_EQ(f.port.pending.size(), 2u);
+    EXPECT_EQ(f.core->retryCycles(RetryCause::MshrFull), 6u);
+
+    // An MSHR release wakes the last one.
+    f.core->onMemResponse(0x10000, f.now);
+    f.core->cpuCycle(f.now++);
+    ASSERT_EQ(f.port.pending.size(), 3u);
+    EXPECT_EQ(f.port.pending[2], 0x30000u);
+    EXPECT_FALSE(f.core->parked());
+}
+
+TEST(Core, WokenLoadMergesIntoBlockAnEarlierWokenLoadFetched)
+{
+    Fixture f(/*mshrs*/ 1);
+    f.port.blocked = true;
+    // X, Y, then X again (same block, other word).
+    f.makeCore({load(0x10000), load(0x20000), load(0x10008)});
+    for (int c = 0; c < 3; ++c)
+        f.core->cpuCycle(f.now++);
+    f.unblock();
+    f.core->cpuCycle(f.now++);
+    // The first X takes the only MSHR, Y is refused again, and the
+    // second X still merges in the same cycle.
+    ASSERT_EQ(f.port.pending.size(), 1u);
+    EXPECT_EQ(f.port.pending[0], 0x10000u);
+    EXPECT_EQ(f.hier->mshrMerges(), 1u);
+    EXPECT_EQ(f.hier->onMemResponse(0x10000).size(), 2u);
 }
 
 TEST(Core, CacheHitLoadsRetireQuickly)

@@ -39,6 +39,20 @@ issueWhenReady(MemorySystem &mem, const Command &cmd, Tick &now)
 
 } // namespace
 
+namespace bsim::dram
+{
+
+// Without a printer gtest shows a parameter as raw bytes; Timing's
+// name string holds a heap pointer, so the discovered test names
+// would change from one build to the next.
+void
+PrintTo(const Timing &t, std::ostream *os)
+{
+    *os << "tCL-tRCD-tRP " << t.tCL << '-' << t.tRCD << '-' << t.tRP;
+}
+
+} // namespace bsim::dram
+
 class PresetParam : public testing::TestWithParam<Timing>
 {
   protected:

@@ -21,9 +21,12 @@
 #include <tuple>
 
 #include "obs/observability.hh"
+#include "sim/conservation.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "sim/sweep_runner.hh"
+#include "trace/spec_profiles.hh"
+#include "trace/trace_gen.hh"
 
 using namespace bsim;
 using namespace bsim::sim;
@@ -66,6 +69,68 @@ runWith(ExperimentConfig cfg, EngineKind engine)
 {
     cfg.engine = engine;
     return runExperiment(cfg);
+}
+
+/** A System run's counts, rendered for a byte compare. */
+struct SystemRun
+{
+    std::string fingerprint; //!< timing, controller, cores, caches
+    std::uint64_t retryCycles = 0; //!< summed over causes and cores
+    std::string conservation; //!< conservationViolation() of the sums
+};
+
+/**
+ * Run @p workloads (one core each on disjoint regions, cold caches)
+ * with a 2-deep FSB queue: a miss then needs an empty queue, so
+ * accesses park behind back-pressure all the time.
+ */
+SystemRun
+runBackpressured(const std::vector<std::string> &workloads,
+                 ctrl::Mechanism m, EngineKind engine)
+{
+    SystemConfig cfg = SystemConfig::baseline();
+    cfg.ctrl.mechanism = m;
+    cfg.memQueueCap = 2;
+    cfg.engine = engine;
+    std::vector<std::unique_ptr<trace::SyntheticGenerator>> gens;
+    std::vector<trace::TraceSource *> sources;
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        trace::WorkloadProfile prof = trace::profileByName(workloads[i]);
+        prof.regionBase += Addr(i) * (prof.footprintBytes + (64ULL << 20));
+        gens.push_back(std::make_unique<trace::SyntheticGenerator>(
+            prof, kInstr, 20070212 + i));
+        sources.push_back(gens.back().get());
+    }
+    System sys(cfg, sources);
+    sys.run(50'000'000);
+    EXPECT_TRUE(sys.done());
+
+    SystemRun out;
+    std::ostringstream os;
+    const ctrl::ControllerStats &s = sys.controller().stats();
+    os << sys.execCpuCycles() << ' ' << sys.memCycles() << " ctrl "
+       << s.reads << ' ' << s.writes << ' ' << s.forwardedReads << ' '
+       << s.rowHits << ' ' << s.rowConflicts << ' '
+       << s.readLatency.sum() << ' ' << s.writeLatency.sum() << '\n';
+    cpu::CacheCounters sum;
+    for (std::uint32_t i = 0; i < sys.numCores(); ++i) {
+        const cpu::Core &c = sys.core(i);
+        const cpu::CacheCounters k = sys.caches(i).counters();
+        const std::uint64_t mshr = c.retryCycles(cpu::RetryCause::MshrFull);
+        const std::uint64_t fsb = c.retryCycles(cpu::RetryCause::FsbFull);
+        os << "core " << i << ' ' << sys.coreExecCpuCycles(i) << ' '
+           << c.retired() << ' ' << c.headStallCycles() << ' '
+           << c.storeStallCycles() << ' ' << mshr << ' ' << fsb
+           << " caches " << k.accesses << ' ' << k.mshrMerges << ' '
+           << k.l1Hits << ' ' << k.l1Misses << ' ' << k.l2Hits << ' '
+           << k.l2Misses << ' ' << k.memReads << ' ' << k.memWrites
+           << '\n';
+        out.retryCycles += mshr + fsb;
+        sum += k;
+    }
+    out.fingerprint = os.str();
+    out.conservation = conservationViolation(sum, s);
+    return out;
 }
 
 } // namespace
@@ -207,6 +272,37 @@ TEST(EngineEquivalence, CmpByteIdentical)
     };
     EXPECT_EQ(step.execCpuCycles, skip.execCpuCycles);
     EXPECT_EQ(render(step), render(skip));
+}
+
+TEST(EngineEquivalence, ForcedBackpressureByteIdentical)
+{
+    // With memQueueCap = 2 nearly every miss is refused first, so cores
+    // park and go quiescent behind back-pressure and are woken by FSB
+    // admissions and MSHR releases. This pins the tick whose CPU phase
+    // looks dead before admission: a pop inside it must still run that
+    // window, and bulk-applied store stalls must equal stepped ones.
+    const ctrl::Mechanism families[] = {
+        ctrl::Mechanism::BkInOrder, ctrl::Mechanism::RowHit,
+        ctrl::Mechanism::Intel, ctrl::Mechanism::BurstTH,
+        ctrl::Mechanism::AdaptiveHistory};
+    for (ctrl::Mechanism m : families) {
+        const SystemRun step = runBackpressured({"swim"}, m, EngineKind::Step);
+        const SystemRun skip = runBackpressured({"swim"}, m, EngineKind::Skip);
+        EXPECT_GT(step.retryCycles, 0u) << ctrl::mechanismName(m);
+        EXPECT_EQ(step.fingerprint, skip.fingerprint)
+            << ctrl::mechanismName(m);
+        EXPECT_EQ(skip.conservation, "") << ctrl::mechanismName(m);
+    }
+    const std::vector<std::string> mix = {"swim", "mcf", "gcc", "art"};
+    for (ctrl::Mechanism m :
+         {ctrl::Mechanism::BurstTH, ctrl::Mechanism::Parbs}) {
+        const SystemRun step = runBackpressured(mix, m, EngineKind::Step);
+        const SystemRun skip = runBackpressured(mix, m, EngineKind::Skip);
+        EXPECT_GT(step.retryCycles, 0u) << ctrl::mechanismName(m);
+        EXPECT_EQ(step.fingerprint, skip.fingerprint)
+            << "CMP " << ctrl::mechanismName(m);
+        EXPECT_EQ(skip.conservation, "") << ctrl::mechanismName(m);
+    }
 }
 
 // ---------------------------------------------------------------------

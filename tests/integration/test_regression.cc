@@ -47,6 +47,15 @@ const Golden kGolden[] = {
     {"gzip", ctrl::Mechanism::BurstTH, 60390ull, 1172ull, 189ull},
 };
 
+// Without a printer gtest shows a parameter as raw bytes, workload
+// pointer included, so the discovered test names would change from
+// one build to the next.
+void
+PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.workload << ' ' << ctrl::mechanismName(g.mechanism);
+}
+
 } // namespace
 
 class GoldenValues : public testing::TestWithParam<Golden>

@@ -156,8 +156,9 @@ TEST(ChromeTrace, SamplerRowsBecomeCounterTracks)
         if (e.find("ph")->string != "C")
             continue;
         EXPECT_DOUBLE_EQ(e.find("pid")->number, double(cfg.channels));
-        if (e.find("name")->string == "queue occupancy")
+        if (e.find("name")->string == "queue occupancy") {
             EXPECT_DOUBLE_EQ(e.find("args")->find("reads")->number, 4.0);
+        }
     }
 }
 

@@ -214,10 +214,12 @@ TEST(MetricsRun, BurstThresholdGatesRpWpFlags)
         // Burst_TH: below the threshold preemption is allowed, above it
         // piggybacking — never both at once.
         EXPECT_FALSE(row.rpActive && row.wpActive);
-        if (row.writesOutstanding < 52)
+        if (row.writesOutstanding < 52) {
             EXPECT_TRUE(row.rpActive);
-        if (row.writesOutstanding > 52)
+        }
+        if (row.writesOutstanding > 52) {
             EXPECT_TRUE(row.wpActive);
+        }
     }
 }
 
