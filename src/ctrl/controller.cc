@@ -206,15 +206,13 @@ MemoryController::freeAccess(MemAccess *a)
 void
 MemoryController::refreshEngineFlags()
 {
-    // Exact max-composition bounds (and therefore the per-bank bound
-    // caches) are only sound when per-cycle stall causes are not being
+    // Exact bounds (readyAt) only while per-cycle stall causes are not
     // attributed: blockedUntil's first-binding stop points are part of
     // the attribution contract, readyAt's are not.
-    const bool exact = eventDriven_ && !stalls_;
     for (auto &s : schedulers_) {
         s->setEventDriven(eventDriven_);
         s->setHorizonMemo(cfg_.horizonMemo);
-        s->setExactBounds(exact);
+        s->setExactBounds(!stalls_);
     }
 }
 
@@ -317,8 +315,6 @@ MemoryController::tick(Tick now)
                 if (stalls_)
                     stalls_->account(ch, now, true,
                                      dram::StallCause::None);
-                if (crit_)
-                    crit_->noteSlot(ch, now);
                 continue;
             }
         }
@@ -342,21 +338,16 @@ MemoryController::tick(Tick now)
             if (issued.access) {
                 if (issued.columnAccess)
                     stalls_->noteBurst(ch, issued.dataStart,
-                                       issued.dataEnd);
+                                       issued.dataEnd, issued.access->id);
                 stalls_->account(ch, now, true, dram::StallCause::None);
                 if (crit_)
-                    crit_->noteIssue(ch, now, *issued.access,
-                                     issued.columnAccess,
-                                     issued.dataStart, issued.dataEnd);
+                    crit_->noteIssue(*issued.access);
             } else {
                 obs::prof::Scope prof(obs::prof::Phase::StallScan);
                 const dram::StallCause cause =
                     schedulers_[ch]->stallScan(now, *stalls_);
-                stalls_->account(ch, now, false, cause);
-                if (crit_)
-                    crit_->noteStall(
-                        ch, now, cause,
-                        schedulers_[ch]->lastStallVictim());
+                stalls_->account(ch, now, false, cause,
+                                 schedulers_[ch]->lastStallVictim());
             }
         }
         if (issued.access) {
@@ -499,11 +490,8 @@ MemoryController::tickSpan(Tick from, Tick span)
             const dram::StallCause cause =
                 schedulers_[ch]->stallScan(from, *stalls_);
             stalls_->setBankStallWeight(1);
-            stalls_->accountSpan(ch, from, span, cause);
-            if (crit_)
-                crit_->noteStallSpan(
-                    ch, from, span, cause,
-                    schedulers_[ch]->lastStallVictim());
+            stalls_->accountSpan(ch, from, span, cause,
+                                 schedulers_[ch]->lastStallVictim());
         }
     }
 

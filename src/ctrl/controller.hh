@@ -315,8 +315,8 @@ class MemoryController
             m.signature = schedulers_[channel]->globalSignature();
     }
 
-    /** Propagate engine flags to every scheduler (exact bounds are only
-     *  sound without per-cycle stall attribution; see Scheduler). */
+    /** Propagate engine flags to every scheduler (exact bounds only
+     *  without per-cycle stall attribution; see Scheduler). */
     void refreshEngineFlags();
 
     /** Take a recycled arena slot (or grow the arena) for a new access. */

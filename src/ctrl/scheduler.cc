@@ -19,24 +19,22 @@ Scheduler::stallScan(Tick now, obs::StallAttribution &sink) const
                      : dram::StallCause::NoWork;
 }
 
-Tick
-Scheduler::bankBound(std::uint32_t b, const MemAccess *a, Tick now) const
+void
+Scheduler::refreshBound(std::uint32_t b, const MemAccess *a) const
 {
-    if (!cacheOn())
-        return boundFor(a, now);
-    if (boundEpoch_[b] == cmdEpoch_) {
+    if (cacheOn()) {
+        if (boundEpoch_[b] == cmdEpoch_) {
+            if (intro_)
+                intro_->noteFrontHorizonHit();
+            return;
+        }
+        boundEpoch_[b] = cmdEpoch_;
         if (intro_)
-            intro_->noteFrontHorizonHit();
-        // max(now, cached) == a fresh readyAt at now: deadlines are
-        // unchanged (same epoch) and readyAt floors at now.
-        return std::max(now, boundTick_[b]);
+            intro_->noteFrontHorizonMiss();
     }
-    const Tick bound = boundFor(a, now);
-    boundTick_[b] = bound;
-    boundEpoch_[b] = cmdEpoch_;
-    if (intro_)
-        intro_->noteFrontHorizonMiss();
-    return bound;
+    obs::prof::Scope prof(obs::prof::Phase::TimingCheck);
+    bounds_[b] = ctx_.mem->constraints({nextCmd(a), a->coords, a->id});
+    boundMax_[b] = bounds_[b].latest();
 }
 
 Scheduler::Issued

@@ -12,6 +12,7 @@
 #ifndef BURSTSIM_CTRL_SCHEDULER_HH
 #define BURSTSIM_CTRL_SCHEDULER_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -151,7 +152,8 @@ class Scheduler
     explicit Scheduler(const SchedulerContext &ctx) : ctx_(ctx)
     {
         const std::uint32_t n = ctx_.mem ? numBanks() : 0;
-        boundTick_.assign(n, 0);
+        bounds_.resize(n);
+        boundMax_.assign(n, 0);
         boundEpoch_.assign(n, 0);
     }
     virtual ~Scheduler() = default;
@@ -266,12 +268,13 @@ class Scheduler
     virtual void setHorizonMemo(bool on) { horizonMemo_ = on; }
 
     /**
-     * Use exact max-composed issue bounds (MemorySystem::readyAt)
-     * instead of the first-binding blockedUntil. The controller enables
-     * this for event-driven runs without per-cycle stall attribution:
-     * attribution spans must stop at stall-cause flip points, exact
-     * bounds deliberately do not. The bound cache requires exact bounds
-     * (a first-binding bound that has expired proves nothing).
+     * Choose which derivation of the cached constraint list bankBound()
+     * returns: the exact issue tick (ConstraintList::readyAt) when on,
+     * the first-binding deadline (ConstraintList::blockedUntil) when
+     * off. The controller turns it off while stall causes are
+     * attributed: attribution spans must stop where the reported cause
+     * changes, exact bounds deliberately do not. Both derivations agree
+     * on legality (`bound <= now`).
      */
     virtual void setExactBounds(bool on) { exactBounds_ = on; }
 
@@ -368,48 +371,24 @@ class Scheduler
         return ctx_.mem->canIssue(cmd, now);
     }
 
-    /** First constraint blocking @p a's next transaction at @p now. */
+    /** First constraint blocking bank @p b's candidate @p a at
+     *  @p now (reads the cached constraint list). */
     dram::StallCause
-    blockOf(const MemAccess *a, Tick now) const
+    blockOf(std::uint32_t b, const MemAccess *a, Tick now) const
     {
-        dram::Command cmd{nextCmd(a), a->coords, a->id};
-        return ctx_.mem->whyBlocked(cmd, now);
+        refreshBound(b, a);
+        return bounds_[b].whyBlocked(now);
     }
 
-    /** When @p a's currently-binding constraint expires (see
-     *  MemorySystem::blockedUntil); @p now when already issuable. */
-    Tick
-    blockedUntilFor(const MemAccess *a, Tick now) const
-    {
-        obs::prof::Scope prof(obs::prof::Phase::TimingCheck);
-        dram::Command cmd{nextCmd(a), a->coords, a->id};
-        return ctx_.mem->blockedUntil(cmd, now);
-    }
-
-    /**
-     * The engine-facing issue bound for @p a at @p now: the exact
-     * earliest issue tick (readyAt) under exact bounds, the
-     * first-binding blockedUntil otherwise. In both modes
-     * `boundFor(a, now) <= now` is exactly `canIssueFor(a, now)`, so
-     * one call serves as legality probe and horizon source at once.
-     */
-    Tick
-    boundFor(const MemAccess *a, Tick now) const
-    {
-        obs::prof::Scope prof(obs::prof::Phase::TimingCheck);
-        dram::Command cmd{nextCmd(a), a->coords, a->id};
-        return exactBounds_ ? ctx_.mem->readyAt(cmd, now)
-                            : ctx_.mem->blockedUntil(cmd, now);
-    }
-
-    /** Is the per-bank bound cache usable? Requires exact bounds:
-     *  every constraint readyAt() composes is a fixed deadline moved
-     *  only by this channel's own commands, so a cached bound stays
-     *  *equal* to a fresh computation until invalidateBounds(). */
+    /** Is the per-bank constraint cache usable? Every entry of a
+     *  constraint list is an absolute deadline or a state gate that
+     *  only this channel's commands, a refresh or a drain-gate flip
+     *  move, so a cached list stays *equal* to a fresh one until
+     *  invalidateBounds() or clearBound(). */
     bool
     cacheOn() const
     {
-        return eventDriven_ && horizonMemo_ && exactBounds_;
+        return eventDriven_ && horizonMemo_;
     }
 
     /** Every cached bank bound is stale (a command issued on this
@@ -421,13 +400,28 @@ class Scheduler
     void clearBound(std::uint32_t b) const { boundEpoch_[b] = 0; }
 
     /**
-     * Cached boundFor(): returns the exact issue bound for bank @p b's
-     * candidate @p a, reusing the cached value when nothing on this
-     * channel changed since it was computed. `result <= now` is the
-     * legality predicate; `result > now` is a sound (and exact) wake
-     * tick. Falls back to an uncached boundFor() when the cache is off.
+     * Make bank @p b's cached constraint list describe candidate
+     * @p a's next transaction: a no-op while nothing on this channel
+     * changed since it was computed; recomputed every call when the
+     * cache is off.
      */
-    Tick bankBound(std::uint32_t b, const MemAccess *a, Tick now) const;
+    void refreshBound(std::uint32_t b, const MemAccess *a) const;
+
+    /**
+     * The engine-facing issue bound for bank @p b's candidate @p a at
+     * @p now: the exact issue tick under exact bounds, the
+     * first-binding deadline otherwise (see setExactBounds()). Either
+     * way `result <= now` is the legality predicate and `result > now`
+     * a sound wake tick, so one call serves as probe and horizon.
+     */
+    Tick
+    bankBound(std::uint32_t b, const MemAccess *a, Tick now) const
+    {
+        refreshBound(b, a);
+        if (exactBounds_)
+            return std::max(now, boundMax_[b]); // ConstraintList::readyAt
+        return bounds_[b].blockedUntil(now);
+    }
 
     /**
      * Issue @p a's next transaction (must be legal). Classifies the row
@@ -457,11 +451,14 @@ class Scheduler
     obs::EngineIntrospect *intro_ = nullptr; //!< nullptr = pillar off
     bool eventDriven_ = false; //!< horizon caches allowed (skip engine)
     bool horizonMemo_ = true;  //!< bound caches permitted (debug flag)
-    bool exactBounds_ = false; //!< boundFor() = readyAt, not blockedUntil
-    /** Per-bank cached issue bound, valid while boundEpoch_ matches
-     *  cmdEpoch_ (exact under the own-channel-command invalidation
-     *  discipline; see cacheOn()). */
-    mutable std::vector<Tick> boundTick_;
+    bool exactBounds_ = false; //!< bankBound() = readyAt, not blockedUntil
+    /** Per-bank constraint list of the bank's candidate, cached while
+     *  boundEpoch_ matches cmdEpoch_ (exact under the own-channel-
+     *  command invalidation discipline; see cacheOn()). */
+    mutable std::vector<dram::ConstraintList> bounds_;
+    /** Each cached list's latest deadline, kept dense so the exact
+     *  bound's cache hit is one compare. */
+    mutable std::vector<Tick> boundMax_;
     mutable std::vector<std::uint64_t> boundEpoch_;
     mutable std::uint64_t cmdEpoch_ = 1; //!< 0 is the "stale" sentinel
     /** Set by nextEventTick implementations at each bound site. */

@@ -71,7 +71,7 @@ BkInOrderScheduler::stallScan(Tick now, obs::StallAttribution &sink) const
         if (q.empty())
             continue;
         const MemAccess *a = q.front();
-        dram::StallCause c = blockOf(a, now);
+        dram::StallCause c = blockOf(b, a, now);
         if (c == dram::StallCause::None)
             c = dram::StallCause::ArbLoss; // issuable, but not picked
         sink.noteBankStall(ctx_.channel, b, c);

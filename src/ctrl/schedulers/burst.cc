@@ -338,7 +338,7 @@ BurstScheduler::stallScan(Tick now, obs::StallAttribution &sink) const
             }
             continue;
         }
-        dram::StallCause c = blockOf(a, now);
+        dram::StallCause c = blockOf(b, a, now);
         if (c == dram::StallCause::None)
             c = dram::StallCause::ArbLoss; // lost the Table 2 pick
         sink.noteBankStall(ctx_.channel, b, c);

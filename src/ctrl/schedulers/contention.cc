@@ -168,7 +168,7 @@ ContentionScheduler::stallScan(Tick now, obs::StallAttribution &sink) const
         if (!a)
             continue;
         any_ongoing = true;
-        dram::StallCause c = blockOf(a, now);
+        dram::StallCause c = blockOf(b, a, now);
         if (c == dram::StallCause::None)
             c = dram::StallCause::ArbLoss;
         sink.noteBankStall(ctx_.channel, b, c);

@@ -156,7 +156,7 @@ AdaptiveHistoryScheduler::stallScan(Tick now,
         const MemAccess *a = ongoing_[b];
         if (!a)
             continue;
-        dram::StallCause c = blockOf(a, now);
+        dram::StallCause c = blockOf(b, a, now);
         if (c == dram::StallCause::None)
             c = dram::StallCause::ArbLoss;
         sink.noteBankStall(ctx_.channel, b, c);

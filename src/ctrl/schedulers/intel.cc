@@ -181,7 +181,7 @@ IntelScheduler::stallScan(Tick now, obs::StallAttribution &sink) const
             continue;
         }
         any_ongoing = true;
-        dram::StallCause c = blockOf(a, now);
+        dram::StallCause c = blockOf(b, a, now);
         if (c == dram::StallCause::None)
             c = dram::StallCause::ArbLoss;
         sink.noteBankStall(ctx_.channel, b, c);

@@ -90,7 +90,7 @@ RowHitScheduler::stallScan(Tick now, obs::StallAttribution &sink) const
         const MemAccess *a = ongoing_[b];
         if (!a)
             continue;
-        dram::StallCause c = blockOf(a, now);
+        dram::StallCause c = blockOf(b, a, now);
         if (c == dram::StallCause::None)
             c = dram::StallCause::ArbLoss;
         sink.noteBankStall(ctx_.channel, b, c);

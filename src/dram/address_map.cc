@@ -50,6 +50,10 @@ DramConfig::validate() const
         !blocksPerRow || !blockBytes) {
         throwSimError(ErrorCategory::Config, "dram config: all dimensions must be nonzero");
     }
+    if (banksPerRank > kMaxBanksPerRank)
+        throwSimError(ErrorCategory::Config,
+                      "dram config: banksPerRank (%u) must be <= %u",
+                      banksPerRank, kMaxBanksPerRank);
     // AddressMap enforces power-of-two-ness with better messages.
 }
 

@@ -67,34 +67,6 @@ class Bank
     /** Constraint that last raised preAllowedAt() (tRAS, tRTP or tWR). */
     StallCause preBlockCause() const { return preBlockCause_; }
 
-    /** Can an ACTIVATE of @p row issue at @p now (bank-local rules)? */
-    bool
-    canActivate(Tick now) const
-    {
-        return !open_ && now >= actAllowedAt_;
-    }
-
-    /** Can a PRECHARGE issue at @p now (bank-local rules)? */
-    bool
-    canPrecharge(Tick now) const
-    {
-        return open_ && now >= preAllowedAt_;
-    }
-
-    /** Can a READ to @p row issue at @p now (bank-local rules)? */
-    bool
-    canRead(std::uint32_t row, Tick now) const
-    {
-        return open_ && openRow_ == row && now >= rdAllowedAt_;
-    }
-
-    /** Can a WRITE to @p row issue at @p now (bank-local rules)? */
-    bool
-    canWrite(std::uint32_t row, Tick now) const
-    {
-        return open_ && openRow_ == row && now >= wrAllowedAt_;
-    }
-
     /** Apply an ACTIVATE issued at @p now. */
     void activate(std::uint32_t row, Tick now, const Timing &t);
 

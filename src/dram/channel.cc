@@ -42,22 +42,9 @@ Channel::earliestDataStart(std::uint32_t rank, bool is_write,
         // Read-to-write direction switch on the shared data bus.
         start += t.tRTW;
     }
-    // Write-to-read same rank is governed by the rank-wide tWTR, which
-    // Rank::canRead enforces; no extra bus gap here.
+    // Write-to-read same rank is governed by the rank-wide tWTR
+    // (Rank::readAllowedAt); no extra bus gap here.
     return start;
-}
-
-StallCause
-Channel::dataStartBlock(Tick want_by, std::uint32_t rank, bool is_write,
-                        const Timing &t) const
-{
-    if (earliestDataStart(rank, is_write, t) <= want_by)
-        return StallCause::None;
-    // Binding constraint: the raw bus occupancy alone, or only the
-    // turnaround gap added on top of it?
-    if (dataFreeAt_ > want_by)
-        return StallCause::TimingDataBus;
-    return StallCause::TimingTurnaround;
 }
 
 void

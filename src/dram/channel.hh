@@ -58,15 +58,6 @@ class Channel
     Tick earliestDataStart(std::uint32_t rank, bool is_write,
                            const Timing &t) const;
 
-    /**
-     * Why a data burst by @p rank in direction @p is_write cannot start
-     * by @p want_by: TimingDataBus when the bus itself is still busy,
-     * TimingTurnaround when only the tRTRS / tRTW gap pushes the start
-     * past @p want_by, or None when it fits.
-     */
-    StallCause dataStartBlock(Tick want_by, std::uint32_t rank,
-                              bool is_write, const Timing &t) const;
-
     /** Record a data burst [start, start + dataCycles) by @p rank. */
     void useDataBus(Tick start, std::uint32_t rank, bool is_write,
                     const Timing &t);

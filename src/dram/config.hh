@@ -43,6 +43,10 @@ enum class AddressMapKind : std::uint8_t
 /** Printable name of an address mapping. */
 const char *addressMapName(AddressMapKind k);
 
+/** Largest supported banks per rank (DDR5 has 32); bounds the
+ *  per-bank entries of a RefreshAll's constraint list. */
+inline constexpr std::uint32_t kMaxBanksPerRank = 32;
+
 /** Organization + timing of the simulated main memory. */
 struct DramConfig
 {

@@ -124,181 +124,67 @@ MemorySystem::nextCmdFor(const Coords &c, AccessType type) const
     panic("unreachable row outcome");
 }
 
-StallCause
-MemorySystem::whyBlocked(const Command &cmd, Tick now) const
+ConstraintList
+MemorySystem::constraints(const Command &cmd) const
 {
     const Channel &ch = channels_[cmd.at.channel];
-    if (!ch.cmdBusFree(now))
-        return StallCause::TimingCmdBus;
-
     const Rank &r = ch.rank(cmd.at.rank);
     const Bank &b = r.bank(cmd.at.bank);
     const Timing &t = cfg_.timing;
+    // Data-bus deadlines are burst starts; the command goes tCL (tWL)
+    // earlier. Tick is unsigned, so the shift saturates at 0.
+    auto before = [](Tick at, Tick lead) { return at > lead ? at - lead : 0; };
 
+    ConstraintList list;
+    list.add(StallCause::TimingCmdBus, ch.cmdBusFreeAt());
+    const bool row_hit = b.isOpen() && b.openRow() == cmd.at.row;
     switch (cmd.type) {
       case CmdType::Precharge:
         if (!b.isOpen())
-            return StallCause::WrongState;
-        if (now < b.preAllowedAt())
-            return b.preBlockCause();
-        return StallCause::None;
+            break;
+        list.add(b.preBlockCause(), b.preAllowedAt());
+        return list;
       case CmdType::Activate:
         if (b.isOpen())
-            return StallCause::WrongState;
-        if (refreshDraining(cmd.at.channel, cmd.at.rank))
-            return StallCause::RefreshDrain;
-        if (now < b.actAllowedAt())
-            return b.actBlockCause();
-        return r.activateBlock(now, t);
-      case CmdType::Read:
-        if (!b.isOpen() || b.openRow() != cmd.at.row)
-            return StallCause::WrongState;
-        if (now < b.rdAllowedAt())
-            return StallCause::TimingTRCD;
-        if (!r.canRead(now))
-            return StallCause::TimingTWTR;
-        return ch.dataStartBlock(now + t.tCL, cmd.at.rank, false, t);
-      case CmdType::Write:
-        if (!b.isOpen() || b.openRow() != cmd.at.row)
-            return StallCause::WrongState;
-        if (now < b.wrAllowedAt())
-            return StallCause::TimingTRCD;
-        return ch.dataStartBlock(now + t.tWL, cmd.at.rank, true, t);
-      case CmdType::RefreshAll: {
-        if (!r.allBanksClosed())
-            return StallCause::WrongState;
-        for (std::uint32_t i = 0; i < r.numBanks(); ++i)
-            if (now < r.bank(i).actAllowedAt())
-                return r.bank(i).actBlockCause();
-        return StallCause::None;
-      }
-    }
-    return StallCause::WrongState;
-}
-
-Tick
-MemorySystem::blockedUntil(const Command &cmd, Tick now) const
-{
-    // Mirror whyBlocked()'s branch order exactly and return when the
-    // branch that fires there stops firing. Deadline-style constraints
-    // ("now < X") expire at X; WrongState never expires on its own.
-    const Channel &ch = channels_[cmd.at.channel];
-    if (!ch.cmdBusFree(now))
-        return ch.cmdBusFreeAt();
-
-    const Rank &r = ch.rank(cmd.at.rank);
-    const Bank &b = r.bank(cmd.at.bank);
-    const Timing &t = cfg_.timing;
-
-    switch (cmd.type) {
-      case CmdType::Precharge:
-        if (!b.isOpen())
-            return kTickMax;
-        if (now < b.preAllowedAt())
-            return b.preAllowedAt();
-        return now;
-      case CmdType::Activate:
-        if (b.isOpen())
-            return kTickMax;
-        // A drain gate only clears when the refresh engine issues the
-        // pending RefreshAll — an external state change, like WrongState.
-        if (refreshDraining(cmd.at.channel, cmd.at.rank))
-            return kTickMax;
-        if (now < b.actAllowedAt())
-            return b.actAllowedAt();
-        return r.activateBlockedUntil(now, t);
-      case CmdType::Read:
-        if (!b.isOpen() || b.openRow() != cmd.at.row)
-            return kTickMax;
-        if (now < b.rdAllowedAt())
-            return b.rdAllowedAt();
-        if (!r.canRead(now))
-            return r.readAllowedAt();
-        if (ch.dataStartBlock(now + t.tCL, cmd.at.rank, false, t) !=
-            StallCause::None) {
-            // The reported cause flips from TimingDataBus to
-            // TimingTurnaround when the raw occupancy clears; the
-            // horizon must stop there, not only at full expiry.
-            const Tick expiry =
-                ch.earliestDataStart(cmd.at.rank, false, t) - t.tCL;
-            const Tick flip = ch.dataBusFreeAt() - t.tCL;
-            return flip > now && flip < expiry ? flip : expiry;
+            break;
+        // The drain gate clears only when the refresh engine issues the
+        // pending RefreshAll: an external state change, like WrongState.
+        if (refreshDraining(cmd.at.channel, cmd.at.rank)) {
+            list.add(StallCause::RefreshDrain, kTickMax);
+            return list;
         }
-        return now;
+        list.add(b.actBlockCause(), b.actAllowedAt());
+        list.add(StallCause::TimingTRRD, r.rrdAllowedAt(t));
+        list.add(StallCause::TimingTFAW, r.fawAllowedAt(t));
+        return list;
+      case CmdType::Read:
+        if (!row_hit)
+            break;
+        list.add(StallCause::TimingTRCD, b.rdAllowedAt());
+        list.add(StallCause::TimingTWTR, r.readAllowedAt());
+        list.add(StallCause::TimingDataBus, before(ch.dataBusFreeAt(), t.tCL));
+        list.add(StallCause::TimingTurnaround,
+                 before(ch.earliestDataStart(cmd.at.rank, false, t), t.tCL));
+        return list;
       case CmdType::Write:
-        if (!b.isOpen() || b.openRow() != cmd.at.row)
-            return kTickMax;
-        if (now < b.wrAllowedAt())
-            return b.wrAllowedAt();
-        if (ch.dataStartBlock(now + t.tWL, cmd.at.rank, true, t) !=
-            StallCause::None) {
-            const Tick expiry =
-                ch.earliestDataStart(cmd.at.rank, true, t) - t.tWL;
-            const Tick flip = ch.dataBusFreeAt() - t.tWL;
-            return flip > now && flip < expiry ? flip : expiry;
-        }
-        return now;
-      case CmdType::RefreshAll: {
+        if (!row_hit)
+            break;
+        list.add(StallCause::TimingTRCD, b.wrAllowedAt());
+        list.add(StallCause::TimingDataBus, before(ch.dataBusFreeAt(), t.tWL));
+        list.add(StallCause::TimingTurnaround,
+                 before(ch.earliestDataStart(cmd.at.rank, true, t), t.tWL));
+        return list;
+      case CmdType::RefreshAll:
         if (!r.allBanksClosed())
-            return kTickMax;
+            break;
         for (std::uint32_t i = 0; i < r.numBanks(); ++i)
-            if (now < r.bank(i).actAllowedAt())
-                return r.bank(i).actAllowedAt();
-        return now;
-      }
+            list.add(r.bank(i).actBlockCause(), r.bank(i).actAllowedAt());
+        return list;
     }
-    return kTickMax;
-}
-
-Tick
-MemorySystem::readyAt(const Command &cmd, Tick now) const
-{
-    // Max-compose every deadline-style constraint instead of stopping at
-    // the first binding one: the result is the exact earliest legal
-    // issue tick, so event-driven callers need no re-poll chain. State
-    // gates (wrong row, drain) still return kTickMax — only another
-    // command clears them.
-    const Channel &ch = channels_[cmd.at.channel];
-    const Rank &r = ch.rank(cmd.at.rank);
-    const Bank &b = r.bank(cmd.at.bank);
-    const Timing &t = cfg_.timing;
-
-    Tick ready = std::max(now, ch.cmdBusFreeAt());
-    switch (cmd.type) {
-      case CmdType::Precharge:
-        if (!b.isOpen())
-            return kTickMax;
-        return std::max(ready, b.preAllowedAt());
-      case CmdType::Activate:
-        if (b.isOpen())
-            return kTickMax;
-        if (refreshDraining(cmd.at.channel, cmd.at.rank))
-            return kTickMax;
-        return r.activateReadyAt(std::max(ready, b.actAllowedAt()), t);
-      case CmdType::Read: {
-        if (!b.isOpen() || b.openRow() != cmd.at.row)
-            return kTickMax;
-        ready = std::max(ready, b.rdAllowedAt());
-        ready = std::max(ready, r.readAllowedAt());
-        const Tick eds = ch.earliestDataStart(cmd.at.rank, false, t);
-        return eds > ready + t.tCL ? eds - t.tCL : ready;
-      }
-      case CmdType::Write: {
-        if (!b.isOpen() || b.openRow() != cmd.at.row)
-            return kTickMax;
-        ready = std::max(ready, b.wrAllowedAt());
-        const Tick eds = ch.earliestDataStart(cmd.at.rank, true, t);
-        return eds > ready + t.tWL ? eds - t.tWL : ready;
-      }
-      case CmdType::RefreshAll: {
-        if (!r.allBanksClosed())
-            return kTickMax;
-        for (std::uint32_t i = 0; i < r.numBanks(); ++i)
-            ready = std::max(ready, r.bank(i).actAllowedAt());
-        return ready;
-      }
-    }
-    return kTickMax;
+    // Bank state does not fit the command: only another command can
+    // change that.
+    list.add(StallCause::WrongState, kTickMax);
+    return list;
 }
 
 IssueResult

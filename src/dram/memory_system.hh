@@ -10,6 +10,7 @@
 #ifndef BURSTSIM_DRAM_MEMORY_SYSTEM_HH
 #define BURSTSIM_DRAM_MEMORY_SYSTEM_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -32,6 +33,105 @@ struct IssueResult
     Tick dataStart = 0;
     /** One past the last cycle of the data burst (column accesses only). */
     Tick dataEnd = 0;
+};
+
+/**
+ * The issue constraints on one command, as a short list of (cause,
+ * deadline) entries in report order: the command bus; a state gate
+ * (WrongState, or RefreshDrain for an Activate) whose deadline is
+ * kTickMax; the bank's own window with the cause the bank recorded;
+ * then the rank windows (tRRD, tFAW for an Activate; tWTR for a Read)
+ * and, for column accesses, the data-bus occupancy and the tRTRS/tRTW
+ * turnaround, each moved back by the CAS/write latency. A RefreshAll
+ * lists each bank's activate window, in bank order. An entry binds at
+ * tick t while t < its deadline; no deadline depends on t.
+ *
+ * The four legality queries are derivations of this one list:
+ *  - canIssue: no entry binds;
+ *  - whyBlocked: the cause of the first binding entry, else None;
+ *  - blockedUntil: that same entry's deadline, else t. The reported
+ *    cause holds until then, so a stall span ending there never
+ *    straddles a cause change. It is the change itself unless two
+ *    entries share a cause (a RefreshAll behind two banks in tRP);
+ *  - readyAt: the maximum of t and every deadline, which is kTickMax
+ *    under a state gate — the exact earliest issue tick.
+ */
+class ConstraintList
+{
+  public:
+    /** One constraint: @p cause blocks while the tick is < @p until. */
+    struct Entry
+    {
+        StallCause cause;
+        Tick until;
+    };
+
+    /** The longest list: a RefreshAll's command bus plus one entry
+     *  per bank (a column access needs five). */
+    static constexpr std::size_t kCapacity = 1 + kMaxBanksPerRank;
+
+    ConstraintList() = default;
+    ConstraintList(const ConstraintList &o) { *this = o; }
+    ConstraintList &
+    operator=(const ConstraintList &o)
+    {
+        // Copy only the used entries: the list is cached per bank.
+        latest_ = o.latest_;
+        size_ = o.size_;
+        std::copy_n(o.entries_, size_, entries_);
+        return *this;
+    }
+
+    /** Append a constraint (report order is append order). */
+    void
+    add(StallCause cause, Tick until)
+    {
+        entries_[size_++] = Entry{cause, until};
+        if (until > latest_)
+            latest_ = until;
+    }
+
+    /** The latest deadline (0 when nothing constrains). */
+    Tick latest() const { return latest_; }
+
+    const Entry *begin() const { return entries_; }
+    const Entry *end() const { return entries_ + size_; }
+
+    /** The first entry binding at @p t, or nullptr when none does. */
+    const Entry *
+    binding(Tick t) const
+    {
+        if (latest_ <= t)
+            return nullptr;
+        for (const Entry &e : *this)
+            if (e.until > t)
+                return &e;
+        return nullptr;
+    }
+
+    StallCause
+    whyBlocked(Tick t) const
+    {
+        const Entry *e = binding(t);
+        return e ? e->cause : StallCause::None;
+    }
+
+    Tick
+    blockedUntil(Tick t) const
+    {
+        const Entry *e = binding(t);
+        return e ? e->until : t;
+    }
+
+    Tick readyAt(Tick t) const { return latest_ > t ? latest_ : t; }
+
+  private:
+    Tick latest_ = 0;
+    std::uint32_t size_ = 0;
+    // Entries past size_ stay uninitialised and are never read: a list
+    // is built on every legality probe, so zeroing it would cost more
+    // than the probe.
+    Entry entries_[kCapacity];
 };
 
 /**
@@ -92,45 +192,44 @@ class MemorySystem
         return channels_[channel].cmdBusFree(now);
     }
 
+    /**
+     * Every DDR2 issue constraint on @p cmd, in report order: the one
+     * encoding of the timing rules (see ConstraintList). Independent of
+     * the probe tick, so callers may cache it until a command on the
+     * channel, a refresh or a drain-gate flip changes device state.
+     */
+    ConstraintList constraints(const Command &cmd) const;
+
     /** May @p cmd legally issue at @p now? (includes command bus) */
     bool
     canIssue(const Command &cmd, Tick now) const
     {
-        return whyBlocked(cmd, now) == StallCause::None;
+        return constraints(cmd).latest() <= now;
     }
 
-    /**
-     * The first constraint blocking @p cmd at @p now, or None when the
-     * command may issue. The checks mirror canIssue()'s historical
-     * branch order exactly, so `whyBlocked(...) == None` is the legality
-     * predicate and the reason costs nothing extra on the issue path.
-     */
-    StallCause whyBlocked(const Command &cmd, Tick now) const;
+    /** The constraint blocking @p cmd at @p now, or None when the
+     *  command may issue (ConstraintList::whyBlocked). */
+    StallCause
+    whyBlocked(const Command &cmd, Tick now) const
+    {
+        return constraints(cmd).whyBlocked(now);
+    }
 
-    /**
-     * First tick at which the constraint whyBlocked() reports for @p cmd
-     * expires: @p now when the command may already issue, kTickMax for
-     * WrongState (only another command changes bank state), otherwise
-     * the end of the binding timing window. A later check in the branch
-     * order may still block at that tick — callers re-poll — so the
-     * result may undershoot the true issue tick but never overshoots a
-     * state change (the event-horizon contract; see docs/performance.md).
-     */
-    Tick blockedUntil(const Command &cmd, Tick now) const;
+    /** When the constraint whyBlocked() reports expires
+     *  (ConstraintList::blockedUntil). */
+    Tick
+    blockedUntil(const Command &cmd, Tick now) const
+    {
+        return constraints(cmd).blockedUntil(now);
+    }
 
-    /**
-     * The exact first tick >= @p now at which @p cmd may legally issue
-     * given current device state (kTickMax for WrongState / drain
-     * gates). Unlike blockedUntil() — which stops at the binding
-     * constraint's expiry and at stall-cause flip points so span-based
-     * stall attribution stays cycle-exact — this composes every
-     * deadline-style constraint with max(), so callers need not
-     * re-poll. Every constraint is a fixed deadline that only future
-     * commands on the same channel can move, which is what makes the
-     * schedulers' per-bank bound caches exact (see ctrl/scheduler.hh).
-     * Only sound when per-cycle stall causes are not being attributed.
-     */
-    Tick readyAt(const Command &cmd, Tick now) const;
+    /** The exact first tick >= @p now at which @p cmd may issue
+     *  (ConstraintList::readyAt). */
+    Tick
+    readyAt(const Command &cmd, Tick now) const
+    {
+        return constraints(cmd).readyAt(now);
+    }
 
     /** Issue @p cmd at @p now; panics if illegal. */
     IssueResult issue(const Command &cmd, Tick now);

@@ -3,53 +3,6 @@
 namespace bsim::dram
 {
 
-StallCause
-Rank::activateBlock(Tick now, const Timing &t) const
-{
-    if (anyActYet_ && t.tRRD && now < lastActAt_ + t.tRRD)
-        return StallCause::TimingTRRD;
-    if (t.tFAW) {
-        // The oldest entry in the 4-deep window is the 4th-last activate;
-        // a 5th activate must wait tFAW past it.
-        const Tick fourth_last = actWindow_[actWindowPos_];
-        if (fourth_last != 0 && now < fourth_last + t.tFAW)
-            return StallCause::TimingTFAW;
-    }
-    return StallCause::None;
-}
-
-Tick
-Rank::activateBlockedUntil(Tick now, const Timing &t) const
-{
-    // Mirror activateBlock()'s check order exactly: the returned tick is
-    // when the *reported* constraint expires, not the overall earliest
-    // legal activate (tFAW may still bind after tRRD clears — callers
-    // re-poll, so a conservative undershoot is correct, an overshoot is
-    // not).
-    if (anyActYet_ && t.tRRD && now < lastActAt_ + t.tRRD)
-        return lastActAt_ + t.tRRD;
-    if (t.tFAW) {
-        const Tick fourth_last = actWindow_[actWindowPos_];
-        if (fourth_last != 0 && now < fourth_last + t.tFAW)
-            return fourth_last + t.tFAW;
-    }
-    return now;
-}
-
-Tick
-Rank::activateReadyAt(Tick from, const Timing &t) const
-{
-    Tick ready = from;
-    if (anyActYet_ && t.tRRD && lastActAt_ + t.tRRD > ready)
-        ready = lastActAt_ + t.tRRD;
-    if (t.tFAW) {
-        const Tick fourth_last = actWindow_[actWindowPos_];
-        if (fourth_last != 0 && fourth_last + t.tFAW > ready)
-            ready = fourth_last + t.tFAW;
-    }
-    return ready;
-}
-
 void
 Rank::noteActivate(Tick now, const Timing &t)
 {
@@ -57,7 +10,7 @@ Rank::noteActivate(Tick now, const Timing &t)
     lastActAt_ = now;
     anyActYet_ = true;
     // Store now+1 so that a legitimate activate at tick 0 is not mistaken
-    // for the "empty slot" sentinel 0; canActivate compensates nowhere
+    // for the "empty slot" sentinel 0; fawAllowedAt compensates nowhere
     // because a one-tick slack on tFAW at cold start is harmless.
     actWindow_[actWindowPos_] = now == 0 ? 1 : now;
     actWindowPos_ = (actWindowPos_ + 1) % actWindow_.size();
@@ -68,17 +21,6 @@ Rank::allBanksClosed() const
 {
     for (const auto &b : banks_)
         if (b.isOpen())
-            return false;
-    return true;
-}
-
-bool
-Rank::canRefresh(Tick now) const
-{
-    if (!allBanksClosed())
-        return false;
-    for (const auto &b : banks_)
-        if (now < b.actAllowedAt())
             return false;
     return true;
 }

@@ -35,35 +35,23 @@ class Rank
         return std::uint32_t(banks_.size());
     }
 
-    /** Rank-level check: may an ACTIVATE issue at @p now? (tRRD, tFAW) */
-    bool
-    canActivate(Tick now, const Timing &t) const
+    /** First tick the tRRD window lets an ACTIVATE issue (0 when
+     *  tRRD is off or nothing was activated yet). */
+    Tick
+    rrdAllowedAt(const Timing &t) const
     {
-        return activateBlock(now, t) == StallCause::None;
+        return anyActYet_ && t.tRRD ? lastActAt_ + t.tRRD : 0;
     }
 
-    /**
-     * Which rank-level constraint blocks an ACTIVATE at @p now:
-     * TimingTRRD, TimingTFAW, or None when unblocked.
-     */
-    StallCause activateBlock(Tick now, const Timing &t) const;
-
-    /**
-     * First tick at which the constraint reported by activateBlock()
-     * expires: the tRRD window end when tRRD binds, the tFAW window end
-     * when tFAW binds, or @p now when neither blocks.
-     */
-    Tick activateBlockedUntil(Tick now, const Timing &t) const;
-
-    /**
-     * Exact earliest tick >= @p from at which both rank-level activate
-     * windows (tRRD and tFAW) are open — the max-composition of the two
-     * deadlines activateBlockedUntil() reports one at a time.
-     */
-    Tick activateReadyAt(Tick from, const Timing &t) const;
-
-    /** Rank-level check: may a READ issue at @p now? (tWTR) */
-    bool canRead(Tick now) const { return now >= rdAllowedAt_; }
+    /** First tick the tFAW window lets an ACTIVATE issue: tFAW past
+     *  the 4th-last activate (0 when tFAW is off or fewer than four
+     *  activates were issued). */
+    Tick
+    fawAllowedAt(const Timing &t) const
+    {
+        const Tick fourth_last = actWindow_[actWindowPos_];
+        return t.tFAW && fourth_last ? fourth_last + t.tFAW : 0;
+    }
 
     /** First tick at which the tWTR read gate opens. */
     Tick readAllowedAt() const { return rdAllowedAt_; }
@@ -82,9 +70,6 @@ class Rank
 
     /** True when every bank is precharged (refresh precondition). */
     bool allBanksClosed() const;
-
-    /** May a REFRESH issue at @p now? (all closed, precharges settled) */
-    bool canRefresh(Tick now) const;
 
     /** Apply a REFRESH issued at @p now: blocks all banks for tRFC. */
     void refresh(Tick now, const Timing &t);

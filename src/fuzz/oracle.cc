@@ -139,7 +139,8 @@ checkPoint(const FuzzPoint &p, const OracleOptions &opt)
     // Layer conservation: the cache counts of each run must match the
     // controller's, identity by identity.
     for (const sim::RunResult *r : {&step, &skip}) {
-        const std::string why = sim::conservationViolation(r->caches, r->ctrl);
+        const std::string why = sim::conservationViolation(r->caches, r->ctrl,
+                                                           r->dramCommands);
         if (!why.empty()) {
             v.ok = false;
             v.oracle = "layer_conservation";
@@ -221,65 +222,91 @@ checkPoint(const FuzzPoint &p, const OracleOptions &opt)
         }
     }
 
-    // Memo transparency: the horizon memos and per-bank bound caches
-    // must never change what the skip engine computes, only how fast.
-    // Run the skip engine twice with introspection on and per-cycle
-    // stall attribution off (the exact bound caches only arm without
-    // it), once with every cache force-disabled, and require identical
-    // skipped/stepped totals and simulated stats. The cache counters
-    // themselves differ by design, so this compares semantics, not
-    // bytes.
+    // Memo transparency: the horizon memos and per-bank constraint
+    // caches must never change what the skip engine computes, only how
+    // fast. Run the skip engine with introspection on, once with every
+    // cache force-disabled, and require identical skipped/stepped
+    // totals and simulated stats. A second pair turns stall
+    // attribution and crit-path tracing on — the bound cache also arms
+    // there, answering with first-binding deadlines — and further
+    // requires byte-equal stall JSON and equal crit-path digests. The
+    // cache counters themselves differ by design, so this compares
+    // semantics, not bytes.
     if (opt.memoTransparency) {
-        sim::RunResult cached, uncached;
-        for (int memo = 0; memo < 2; ++memo) {
-            OracleOptions mopt = opt;
-            mopt.configTweak = [&opt, memo](sim::ExperimentConfig &cfg) {
-                cfg.obs.stallAttribution = false;
-                cfg.obs.engineIntrospect = true;
-                cfg.horizonMemo = memo == 1;
-                if (opt.configTweak)
-                    opt.configTweak(cfg);
-            };
-            if (!runOne(p, mopt, sim::EngineKind::Skip,
-                        memo ? cached : uncached, v))
+        for (const bool attributed : {false, true}) {
+            const char *mode = attributed ? " (stall attribution on)" : "";
+            sim::RunResult cached, uncached;
+            for (int memo = 0; memo < 2; ++memo) {
+                OracleOptions mopt = opt;
+                mopt.configTweak = [&opt, memo,
+                                    attributed](sim::ExperimentConfig &cfg) {
+                    cfg.obs.stallAttribution = attributed;
+                    cfg.obs.critPath = attributed;
+                    cfg.obs.engineIntrospect = true;
+                    cfg.horizonMemo = memo == 1;
+                    if (opt.configTweak)
+                        opt.configTweak(cfg);
+                };
+                if (!runOne(p, mopt, sim::EngineKind::Skip,
+                            memo ? cached : uncached, v))
+                    return v;
+            }
+            const obs::EngineIntrospect *ic =
+                cached.obs ? cached.obs->introspect() : nullptr;
+            const obs::EngineIntrospect *iu =
+                uncached.obs ? uncached.obs->introspect() : nullptr;
+            if (!ic || !iu) {
+                v.ok = false;
+                v.oracle = "memo_transparency";
+                v.detail = "introspection pillar missing on a memo run";
                 return v;
-        }
-        const obs::EngineIntrospect *ic =
-            cached.obs ? cached.obs->introspect() : nullptr;
-        const obs::EngineIntrospect *iu =
-            uncached.obs ? uncached.obs->introspect() : nullptr;
-        if (!ic || !iu) {
-            v.ok = false;
-            v.oracle = "memo_transparency";
-            v.detail = "introspection pillar missing on a memo run";
-            return v;
-        }
-        if (ic->steppedCycles() != iu->steppedCycles() ||
-            ic->skippedCycles() != iu->skippedCycles() ||
-            cached.memCycles != uncached.memCycles ||
-            cached.execCpuCycles != uncached.execCpuCycles) {
-            v.ok = false;
-            v.oracle = "memo_transparency";
-            std::ostringstream os;
-            os << "caches changed engine behaviour: stepped/skipped "
-               << ic->steppedCycles() << "/" << ic->skippedCycles()
-               << " cached vs " << iu->steppedCycles() << "/"
-               << iu->skippedCycles() << " uncached, mem "
-               << cached.memCycles << " vs " << uncached.memCycles
-               << ", cpu " << cached.execCpuCycles << " vs "
-               << uncached.execCpuCycles;
-            v.detail = os.str();
-            return v;
+            }
+            if (ic->steppedCycles() != iu->steppedCycles() ||
+                ic->skippedCycles() != iu->skippedCycles() ||
+                cached.memCycles != uncached.memCycles ||
+                cached.execCpuCycles != uncached.execCpuCycles) {
+                v.ok = false;
+                v.oracle = "memo_transparency";
+                std::ostringstream os;
+                os << "caches changed engine behaviour" << mode
+                   << ": stepped/skipped " << ic->steppedCycles() << "/"
+                   << ic->skippedCycles() << " cached vs "
+                   << iu->steppedCycles() << "/" << iu->skippedCycles()
+                   << " uncached, mem " << cached.memCycles << " vs "
+                   << uncached.memCycles << ", cpu "
+                   << cached.execCpuCycles << " vs "
+                   << uncached.execCpuCycles;
+                v.detail = os.str();
+                return v;
+            }
+            if (!attributed)
+                continue;
+            const std::string cs = stallJson(cached),
+                              us = stallJson(uncached);
+            if (cs != us) {
+                v.ok = false;
+                v.oracle = "memo_transparency";
+                v.detail = "caches changed the stall JSON; " +
+                           firstDiff(cs, us);
+                return v;
+            }
+            const obs::CritPathTracer *tc = cached.obs->critpath();
+            const obs::CritPathTracer *tu = uncached.obs->critpath();
+            if (!tc || !tu || tc->digest() != tu->digest()) {
+                v.ok = false;
+                v.oracle = "memo_transparency";
+                v.detail = "caches changed the crit-path access stream";
+                return v;
+            }
         }
     }
 
     // Per-access blame identity: rerun both engines with the critical-
     // path tracer on (separate runs — the result JSON gains a
     // critical_path section by design) and require (a) the per-access
-    // telescoping identity, (b) the tracer's internal cycle ledger to
-    // reconcile with the aggregate stall accountant, (c) byte-identical
-    // access streams across engines (FNV digest over the JSONL lines),
-    // and (d) unperturbed simulated statistics.
+    // telescoping identity, (b) byte-identical access streams across
+    // engines (FNV digest over the JSONL lines), and (c) unperturbed
+    // simulated statistics.
     if (opt.critpathIdentity) {
         OracleOptions copt = opt;
         copt.configTweak = [&opt](sim::ExperimentConfig &cfg) {
@@ -300,7 +327,6 @@ checkPoint(const FuzzPoint &p, const OracleOptions &opt)
             v.detail = "critical-path pillar missing on a traced run";
             return v;
         }
-        const sim::RunResult *runs[2] = {&cs, &ck};
         const obs::CritPathTracer *tracers[2] = {ts, tk};
         for (int i = 0; i < 2; ++i) {
             const obs::CritPathTracer *t = tracers[i];
@@ -313,18 +339,6 @@ checkPoint(const FuzzPoint &p, const OracleOptions &opt)
                    << t->latencyTotal() << " latency cycles over "
                    << t->completedCount() << " accesses";
                 v.detail = os.str();
-                return v;
-            }
-            std::string why;
-            const obs::StallAttribution *st =
-                runs[i]->obs ? runs[i]->obs->stalls() : nullptr;
-            if (st && !t->ledgerMatches(*st, &why)) {
-                v.ok = false;
-                v.oracle = "critpath_identity";
-                v.detail = std::string(eng) +
-                           " engine: tracer ledger disagrees with the "
-                           "stall accountant: " +
-                           why;
                 return v;
             }
         }

@@ -13,9 +13,12 @@
  *                    identical result and stall-attribution JSON;
  *  - layer_conservation
  *                    under both engines, the cache hierarchy's counts
- *                    must conserve and match the controller's (see
+ *                    must conserve and match the controller's, and the
+ *                    controller's the DRAM column commands (see
  *                    sim/conservation.hh): every L2 miss is one memory
- *                    read, every memory write reaches the controller;
+ *                    read, every memory write reaches the controller,
+ *                    every unforwarded read and every write is one
+ *                    DRAM column command;
  *  - telescoping     per channel, the per-cause stall counts must sum
  *                    exactly to the attributed cycles, which must equal
  *                    the run's memory cycles;
@@ -30,15 +33,16 @@
  *                    pure caches: an introspected skip run with
  *                    --no-horizon-memo semantics (all caches force-
  *                    disabled) must report the same skipped/stepped
- *                    totals and simulated stats as the cached run —
- *                    these runs turn stall attribution off so the exact
- *                    bound caches are actually exercised;
+ *                    totals and simulated stats as the cached run, once
+ *                    with stall attribution off (exact bounds) and once
+ *                    with attribution and crit-path tracing on
+ *                    (first-binding bounds), where the stall JSON and
+ *                    the crit-path digest must also match;
  *  - critpath_identity
  *                    with per-access tracing on, every access's blame
  *                    vector must sum exactly to its measured latency,
- *                    the tracer's internal ledger must reconcile with
- *                    the aggregate stall accountant, both engines must
- *                    stream byte-identical access records (FNV digest),
+ *                    both engines must stream byte-identical access
+ *                    records (FNV digest),
  *                    and tracing must not perturb simulated stats;
  *  - cross_scheduler on row-hit-heavy synthetic streams, Burst must
  *                    not be slower than BkInOrder beyond a tolerance

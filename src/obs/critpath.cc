@@ -7,7 +7,6 @@
 #include "common/error.hh"
 #include "common/json.hh"
 #include "common/table.hh"
-#include "obs/stall_attribution.hh"
 
 namespace bsim::obs
 {
@@ -117,9 +116,8 @@ blameSummary(const CritPathTracer::Counts &blame, std::size_t max_causes)
 
 } // namespace
 
-CritPathTracer::CritPathTracer(std::uint32_t channels,
-                               const std::string &jsonl_path)
-    : ledgers_(channels), digest_(kFnvOffset)
+CritPathTracer::CritPathTracer(const std::string &jsonl_path)
+    : digest_(kFnvOffset)
 {
     if (!jsonl_path.empty()) {
         stream_.open(jsonl_path, std::ios::trunc);
@@ -137,119 +135,36 @@ CritPathTracer::onAdmit(const ctrl::MemAccess &a)
     live_.emplace(a.id, Live{});
 }
 
-CritPathTracer::Applied
-CritPathTracer::apply(Ledger &led, Tick now, bool slot_used,
-                      StallCause cause)
-{
-    // Identical promotion and classification to StallAttribution::
-    // account(), with the streaming burst's owner carried along for the
-    // blocking-command back-pointer.
-    while (!led.pending.empty() && led.pending.front().start <= now) {
-        if (led.pending.front().end > led.busyUntil) {
-            led.busyUntil = led.pending.front().end;
-            led.owner = led.pending.front().owner;
-        }
-        led.pending.pop_front();
-    }
-
-    Applied ap{cause, led.owner};
-    if (now < led.busyUntil)
-        ap.attr = StallCause::DataTransfer;
-    else if (slot_used)
-        ap.attr = StallCause::PrepIssue;
-    else if (cause == StallCause::NoWork && !led.pending.empty())
-        ap.attr = StallCause::PendingData;
-
-    led.counts[std::size_t(ap.attr)] += 1;
-    led.cycles += 1;
-    return ap;
-}
-
 void
-CritPathTracer::chargeVictim(const ctrl::MemAccess *victim, Applied ap,
-                             std::uint64_t n)
+CritPathTracer::noteIssue(const ctrl::MemAccess &a)
 {
-    if (!victim)
-        return;
-    // PendingData means the queues were empty — there is no victim to
-    // charge — and PrepIssue cannot occur on an idle slot.
-    if (ap.attr == StallCause::PendingData)
-        return;
-    auto it = live_.find(victim->id);
-    if (it == live_.end())
-        return; // admitted before tracing attached; nothing to blame
-    Live &l = it->second;
-    if (ap.attr == StallCause::DataTransfer) {
-        // The victim was not streaming (it is still queued): it waited
-        // behind someone else's burst on the shared data bus.
-        l.waits[std::size_t(StallCause::TimingDataBus)] += n;
-        l.blockedBy = ap.owner;
-    } else {
-        l.waits[std::size_t(ap.attr)] += n;
-    }
-}
-
-void
-CritPathTracer::noteSlot(std::uint32_t ch, Tick now)
-{
-    apply(ledgers_[ch], now, true, StallCause::None);
-}
-
-void
-CritPathTracer::noteIssue(std::uint32_t ch, Tick now,
-                          const ctrl::MemAccess &a, bool column_access,
-                          Tick data_start, Tick data_end)
-{
-    if (column_access)
-        ledgers_[ch].pending.push_back({data_start, data_end, a.id});
-    apply(ledgers_[ch], now, true, StallCause::None);
     auto it = live_.find(a.id);
     if (it != live_.end())
         it->second.ownIssues += 1;
 }
 
 void
-CritPathTracer::noteStall(std::uint32_t ch, Tick now, StallCause cause,
-                          const ctrl::MemAccess *victim)
+CritPathTracer::noteSegment(const ctrl::MemAccess *victim,
+                            StallCause attr, std::uint64_t cycles,
+                            std::uint64_t owner)
 {
-    chargeVictim(victim, apply(ledgers_[ch], now, false, cause), 1);
-}
-
-void
-CritPathTracer::noteStallSpan(std::uint32_t ch, Tick from, Tick span,
-                              StallCause cause,
-                              const ctrl::MemAccess *victim)
-{
-    // Segment exactly as StallAttribution::accountSpan() does, charging
-    // the victim per segment so the blame equals what span successive
-    // noteStall() calls would have produced.
-    Ledger &led = ledgers_[ch];
-    Tick t = from;
-    const Tick end = from + span;
-    while (t < end) {
-        while (!led.pending.empty() && led.pending.front().start <= t) {
-            if (led.pending.front().end > led.busyUntil) {
-                led.busyUntil = led.pending.front().end;
-                led.owner = led.pending.front().owner;
-            }
-            led.pending.pop_front();
-        }
-        Tick seg_end;
-        Applied ap{cause, led.owner};
-        if (t < led.busyUntil) {
-            seg_end = led.busyUntil < end ? led.busyUntil : end;
-            ap.attr = StallCause::DataTransfer;
-        } else {
-            seg_end = end;
-            if (!led.pending.empty() && led.pending.front().start < end)
-                seg_end = led.pending.front().start;
-            if (cause == StallCause::NoWork && !led.pending.empty())
-                ap.attr = StallCause::PendingData;
-        }
-        led.counts[std::size_t(ap.attr)] += seg_end - t;
-        led.cycles += seg_end - t;
-        chargeVictim(victim, ap, seg_end - t);
-        t = seg_end;
+    if (!victim)
+        return;
+    // PendingData means the queues were empty — there is no victim to
+    // charge — and PrepIssue cannot occur on an idle slot.
+    if (attr == StallCause::PendingData)
+        return;
+    auto it = live_.find(victim->id);
+    if (it == live_.end())
+        return; // admitted before tracing attached; nothing to blame
+    Live &l = it->second;
+    if (attr == StallCause::DataTransfer) {
+        // The victim was not streaming (it is still queued): it waited
+        // behind someone else's burst on the shared data bus.
+        l.waits[std::size_t(StallCause::TimingDataBus)] += cycles;
+        l.blockedBy = owner;
+    } else {
+        l.waits[std::size_t(attr)] += cycles;
     }
 }
 
@@ -391,39 +306,6 @@ bool
 CritPathTracer::identityHolds() const
 {
     return sumCounts(blameTotals_) == latencyTotal_;
-}
-
-bool
-CritPathTracer::ledgerMatches(const StallAttribution &st,
-                              std::string *why) const
-{
-    if (st.numChannels() != ledgers_.size()) {
-        if (why)
-            *why = "channel count mismatch";
-        return false;
-    }
-    for (std::uint32_t ch = 0; ch < ledgers_.size(); ++ch) {
-        const Ledger &led = ledgers_[ch];
-        if (led.cycles != st.cycles(ch)) {
-            if (why)
-                *why = "ch" + std::to_string(ch) + " cycles: ledger " +
-                       std::to_string(led.cycles) + " vs accountant " +
-                       std::to_string(st.cycles(ch));
-            return false;
-        }
-        for (std::size_t i = 0; i < kNumStallCauses; ++i) {
-            const std::uint64_t n = st.count(ch, StallCause(i));
-            if (led.counts[i] != n) {
-                if (why)
-                    *why = "ch" + std::to_string(ch) + " " +
-                           stallCauseName(StallCause(i)) + ": ledger " +
-                           std::to_string(led.counts[i]) +
-                           " vs accountant " + std::to_string(n);
-                return false;
-            }
-        }
-    }
-    return true;
 }
 
 void

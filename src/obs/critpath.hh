@@ -20,11 +20,10 @@
  * charge their whole (short) latency to PendingData. Violations throw
  * an internal SimError rather than silently mis-summing.
  *
- * The tracer also mirrors the aggregate stall accountant's per-cycle
- * algorithm in an internal ledger fed from the same controller call
- * sites (including the skip engine's bulk spans), so tests and the
- * critpath_identity fuzz oracle can assert that the two accountings
- * reconcile channel for channel, cause for cause, under both engines.
+ * Victim charges are cut from the aggregate stall accountant's own
+ * classification: StallAttribution hands every classified segment
+ * (cause, cycles, owner of the streaming burst) to noteSegment(), under
+ * both engines, so the two accountings cannot drift apart.
  */
 
 #ifndef BURSTSIM_OBS_CRITPATH_HH
@@ -32,7 +31,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <fstream>
 #include <iosfwd>
 #include <map>
@@ -51,8 +49,6 @@ class JsonWriter;
 
 namespace bsim::obs
 {
-
-class StallAttribution;
 
 /** Per-access causal blame tracer (the fifth observability pillar). */
 class CritPathTracer
@@ -91,46 +87,28 @@ class CritPathTracer
     };
 
     /**
-     * Trace @p channels channels; when @p jsonl_path is non-empty, every
-     * completed access is streamed there as one JSON object per line.
-     * An unwritable path throws a resource SimError up front.
+     * When @p jsonl_path is non-empty, every completed access is
+     * streamed there as one JSON object per line. An unwritable path
+     * throws a resource SimError up front.
      */
-    CritPathTracer(std::uint32_t channels, const std::string &jsonl_path);
+    explicit CritPathTracer(const std::string &jsonl_path);
 
-    // ----- controller hooks (one call per channel-cycle, mirroring the
-    // ----- aggregate stall accountant's feed) -----
+    // ----- controller and accountant hooks -----
 
     /** An access entered the controller's pool. */
     void onAdmit(const ctrl::MemAccess &a);
 
-    /** The refresh engine used channel @p ch's command slot at @p now. */
-    void noteSlot(std::uint32_t ch, Tick now);
+    /** The scheduler issued a command for @p a (one own slot). */
+    void noteIssue(const ctrl::MemAccess &a);
 
     /**
-     * The scheduler issued a command for @p a on @p ch at @p now; when
-     * @p column_access the data burst [@p data_start, @p data_end) was
-     * booked on the channel's data bus.
+     * The stall accountant classified @p cycles channel-cycles as
+     * @p attr while the scan had nominated @p victim (nullptr on a used
+     * slot or when no queued access stood behind the cause); @p owner
+     * is the access whose burst was streaming. Charges the victim.
      */
-    void noteIssue(std::uint32_t ch, Tick now, const ctrl::MemAccess &a,
-                   bool column_access, Tick data_start, Tick data_end);
-
-    /**
-     * Channel @p ch's slot sat idle at @p now for @p cause; @p victim is
-     * the blocked access the scheduler's stall scan nominated (nullptr
-     * when the cause has no specific queued access behind it).
-     */
-    void noteStall(std::uint32_t ch, Tick now, dram::StallCause cause,
-                   const ctrl::MemAccess *victim);
-
-    /**
-     * Bulk form of noteStall() for the skip engine's dead span
-     * [@p from, @p from + @p span): charges exactly as @p span
-     * successive noteStall() calls would, segmenting across booked
-     * burst edges so the blame is byte-identical to the step engine.
-     */
-    void noteStallSpan(std::uint32_t ch, Tick from, Tick span,
-                       dram::StallCause cause,
-                       const ctrl::MemAccess *victim);
+    void noteSegment(const ctrl::MemAccess *victim, dram::StallCause attr,
+                     std::uint64_t cycles, std::uint64_t owner);
 
     /** @p a finished (read data arrived / write left the CPU's view):
      *  close its blame chain and enforce the telescoping identity. */
@@ -154,14 +132,6 @@ class CritPathTracer
     /** Does total blame telescope to total latency? (Per access it is
      *  enforced at completion; this is the aggregate restatement.) */
     bool identityHolds() const;
-
-    /**
-     * Does the internal per-cycle ledger agree with the aggregate stall
-     * accountant @p st, channel for channel and cause for cause? On
-     * mismatch, when @p why is non-null, describes the first diff.
-     */
-    bool ledgerMatches(const StallAttribution &st,
-                       std::string *why = nullptr) const;
 
     /** FNV-1a digest over the emitted JSONL stream (also maintained
      *  when no file is attached) — engine byte-identity in one word. */
@@ -196,38 +166,9 @@ class CritPathTracer
         std::uint64_t blockedBy = 0; //!< last bus-blocking burst owner
     };
 
-    /** Mirror of StallAttribution's per-channel cycle classifier, with
-     *  burst ownership kept for the blocking-command back-pointer. */
-    struct Ledger
-    {
-        struct Burst
-        {
-            Tick start;
-            Tick end;
-            std::uint64_t owner;
-        };
-        std::deque<Burst> pending;
-        Tick busyUntil = 0;
-        std::uint64_t owner = 0; //!< access id of the streaming burst
-        Counts counts{};
-        std::uint64_t cycles = 0;
-    };
-
-    /** Effective classification of one (or a run of) cycle(s). */
-    struct Applied
-    {
-        dram::StallCause attr;
-        std::uint64_t owner; //!< valid when attr == DataTransfer
-    };
-
-    Applied apply(Ledger &led, Tick now, bool slot_used,
-                  dram::StallCause cause);
-    void chargeVictim(const ctrl::MemAccess *victim, Applied ap,
-                      std::uint64_t n);
     void finalize(const ctrl::MemAccess &a, Completed &&c);
     void emit(const Completed &c);
 
-    std::vector<Ledger> ledgers_;
     std::unordered_map<std::uint64_t, Live> live_;
 
     std::uint64_t completed_ = 0;

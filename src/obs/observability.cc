@@ -47,10 +47,10 @@ Observability::Observability(const ObsConfig &cfg,
             dram_.channels, dram_.ranksPerChannel * dram_.banksPerRank,
             bankLabels(dram_));
     if (cfg_.critPathOn()) {
-        critpath_ = std::make_unique<CritPathTracer>(
-            dram_.channels, cfg_.accessTraceOut);
+        critpath_ = std::make_unique<CritPathTracer>(cfg_.accessTraceOut);
         if (cfg_.critPathRetain)
             critpath_->setRetainCompleted(true);
+        stalls_->attachTracer(critpath_.get());
     }
     if (cfg_.audit != AuditMode::Off)
         auditor_ = std::make_unique<ProtocolAuditor>(cfg_.audit, dram_);

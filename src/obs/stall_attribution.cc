@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/json.hh"
+#include "obs/critpath.hh"
 
 namespace bsim::obs
 {
@@ -21,24 +22,40 @@ StallAttribution::StallAttribution(std::uint32_t channels,
 {}
 
 void
-StallAttribution::noteBurst(std::uint32_t ch, Tick start, Tick end)
+StallAttribution::noteBurst(std::uint32_t ch, Tick start, Tick end,
+                            std::uint64_t owner)
 {
-    chans_[ch].pending.emplace_back(start, end);
+    chans_[ch].pending.push_back({start, end, owner});
+}
+
+void
+StallAttribution::promote(ChannelState &c, Tick now)
+{
+    while (!c.pending.empty() && c.pending.front().start <= now) {
+        if (c.pending.front().end > c.busyUntil) {
+            c.busyUntil = c.pending.front().end;
+            c.owner = c.pending.front().owner;
+        }
+        c.pending.pop_front();
+    }
+}
+
+void
+StallAttribution::record(ChannelState &c, StallCause attr,
+                         std::uint64_t n, const ctrl::MemAccess *victim)
+{
+    c.counts[std::size_t(attr)] += n;
+    c.cycles += n;
+    if (tracer_)
+        tracer_->noteSegment(victim, attr, n, c.owner);
 }
 
 void
 StallAttribution::account(std::uint32_t ch, Tick now, bool slot_used,
-                          StallCause cause)
+                          StallCause cause, const ctrl::MemAccess *victim)
 {
     ChannelState &c = chans_[ch];
-
-    // Promote bursts that have started into the busy horizon. Bursts are
-    // booked in data-bus order, so a simple front scan suffices.
-    while (!c.pending.empty() && c.pending.front().first <= now) {
-        if (c.pending.front().second > c.busyUntil)
-            c.busyUntil = c.pending.front().second;
-        c.pending.pop_front();
-    }
+    promote(c, now);
 
     StallCause attr;
     if (now < c.busyUntil)
@@ -49,24 +66,19 @@ StallAttribution::account(std::uint32_t ch, Tick now, bool slot_used,
         attr = StallCause::PendingData; // only waiting for booked data
     else
         attr = cause;
-
-    c.counts[std::size_t(attr)] += 1;
-    c.cycles += 1;
+    record(c, attr, 1, victim);
 }
 
 void
 StallAttribution::accountSpan(std::uint32_t ch, Tick from, Tick span,
-                              StallCause cause)
+                              StallCause cause,
+                              const ctrl::MemAccess *victim)
 {
     ChannelState &c = chans_[ch];
     Tick t = from;
     const Tick end = from + span;
     while (t < end) {
-        while (!c.pending.empty() && c.pending.front().first <= t) {
-            if (c.pending.front().second > c.busyUntil)
-                c.busyUntil = c.pending.front().second;
-            c.pending.pop_front();
-        }
+        promote(c, t);
         Tick seg_end;
         StallCause attr;
         if (t < c.busyUntil) {
@@ -76,14 +88,13 @@ StallAttribution::accountSpan(std::uint32_t ch, Tick from, Tick span,
             // The attribution can only change where the next booked
             // burst starts; run this segment up to that edge.
             seg_end = end;
-            if (!c.pending.empty() && c.pending.front().first < end)
-                seg_end = c.pending.front().first;
+            if (!c.pending.empty() && c.pending.front().start < end)
+                seg_end = c.pending.front().start;
             attr = (cause == StallCause::NoWork && !c.pending.empty())
                        ? StallCause::PendingData
                        : cause;
         }
-        c.counts[std::size_t(attr)] += seg_end - t;
-        c.cycles += seg_end - t;
+        record(c, attr, seg_end - t, victim);
         t = seg_end;
     }
 }

@@ -26,14 +26,20 @@
 #include <deque>
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.hh"
 #include "dram/stall.hh"
 
+namespace bsim::ctrl
+{
+struct MemAccess;
+}
+
 namespace bsim::obs
 {
+
+class CritPathTracer;
 
 /** Accumulates one attributed cause per channel per memory cycle. */
 class StallAttribution
@@ -51,21 +57,25 @@ class StallAttribution
                      std::vector<std::string> bank_labels);
 
     /**
-     * Record a data burst [start, end) scheduled on @p ch. Bursts start
-     * after the command that books them (tCL / tWL later), so they are
-     * queued here and consumed by account() as time passes.
+     * Record a data burst [start, end) scheduled on @p ch for access
+     * @p owner. Bursts start after the command that books them (tCL /
+     * tWL later), so they are queued here and consumed by account() as
+     * time passes.
      */
-    void noteBurst(std::uint32_t ch, Tick start, Tick end);
+    void noteBurst(std::uint32_t ch, Tick start, Tick end,
+                   std::uint64_t owner);
 
     /**
      * Attribute cycle @p now on channel @p ch. @p slot_used means the
      * channel issued a command this cycle (scheduler or refresh engine);
-     * otherwise @p cause is the scheduler's reason for sitting idle.
+     * otherwise @p cause is the scheduler's reason for sitting idle and
+     * @p victim the blocked access its stall scan nominated.
      * Data transfer takes precedence over everything: a cycle where the
      * bus streams is never a stall, whatever the command slot did.
      */
     void account(std::uint32_t ch, Tick now, bool slot_used,
-                 dram::StallCause cause);
+                 dram::StallCause cause,
+                 const ctrl::MemAccess *victim = nullptr);
 
     /**
      * Bulk-attribute the dead span [@p from, @p from + @p span) on
@@ -77,7 +87,16 @@ class StallAttribution
      * asserted by the equivalence suite.
      */
     void accountSpan(std::uint32_t ch, Tick from, Tick span,
-                     dram::StallCause cause);
+                     dram::StallCause cause,
+                     const ctrl::MemAccess *victim = nullptr);
+
+    /**
+     * Hand every classified segment (cause, cycles, owner of the
+     * streaming burst, stall victim) to @p tracer, so per-access blame
+     * is cut from the same classification as the aggregate counts.
+     * nullptr detaches. Not owned.
+     */
+    void attachTracer(CritPathTracer *tracer) { tracer_ = tracer; }
 
     /**
      * Make each subsequent noteBankStall() count for @p w cycles. The
@@ -124,17 +143,35 @@ class StallAttribution
     void writeText(std::ostream &os) const;
 
   private:
+    struct Burst
+    {
+        Tick start;
+        Tick end;
+        std::uint64_t owner; //!< access id
+    };
+
     struct ChannelState
     {
-        /** Booked data bursts not yet fully in the past (start, end). */
-        std::deque<std::pair<Tick, Tick>> pending;
+        /** Booked data bursts not yet fully in the past. */
+        std::deque<Burst> pending;
         /** One past the last cycle of the burst currently streaming. */
         Tick busyUntil = 0;
+        /** Access whose burst ends at busyUntil. */
+        std::uint64_t owner = 0;
         Counts counts{};
         std::uint64_t cycles = 0;
     };
 
+    /** Move bursts that started by @p now into the busy horizon.
+     *  Bursts are booked in data-bus order, so a front scan suffices. */
+    static void promote(ChannelState &c, Tick now);
+
+    /** Count @p n cycles of @p attr on @p c and pass them on. */
+    void record(ChannelState &c, dram::StallCause attr, std::uint64_t n,
+                const ctrl::MemAccess *victim);
+
     std::vector<ChannelState> chans_;
+    CritPathTracer *tracer_ = nullptr;
     std::uint64_t bankWeight_ = 1;
     std::uint32_t banksPerChannel_;
     std::vector<std::string> bankLabels_; //!< channel-major

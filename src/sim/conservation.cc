@@ -8,7 +8,8 @@ namespace bsim::sim
 
 std::string
 conservationViolation(const cpu::CacheCounters &c,
-                      const ctrl::ControllerStats &s)
+                      const ctrl::ControllerStats &s,
+                      const dram::CommandCounts &d)
 {
     std::ostringstream os;
     const auto check = [&os](const char *what, std::uint64_t lhs,
@@ -24,6 +25,9 @@ conservationViolation(const cpu::CacheCounters &c,
     check("mem reads vs controller reads", c.memReads, s.reads);
     check("mem writes vs controller writes + coalesced", c.memWrites,
           s.writes + s.coalescedWrites);
+    check("controller reads - forwarded vs dram reads",
+          s.reads - s.forwardedReads, d.reads);
+    check("controller writes vs dram writes", s.writes, d.writes);
     return os.str();
 }
 

@@ -341,6 +341,7 @@ runCmpShifted(const CmpConfig &cfg, const std::vector<std::size_t> &shifts)
         r.caches += sys.caches(i).counters();
     }
     r.ctrl = sys.controller().stats();
+    r.dramCommands = sys.mem().commandCounts();
     r.dataBusUtil = sys.mem().dataBusUtilization(sys.memCycles());
     const double seconds =
         double(sys.memCycles()) / (sys_cfg.busMHz * 1e6);

@@ -227,6 +227,7 @@ struct CmpResult
     std::vector<double> perCoreIpc; //!< shared-run IPC per core
     ctrl::ControllerStats ctrl;
     cpu::CacheCounters caches; //!< summed over the cores
+    dram::CommandCounts dramCommands;
     double dataBusUtil = 0.0;
     double bandwidthGBs = 0.0;
     /** Filled by runCmpFairness() only. */

@@ -20,10 +20,11 @@ TEST(Bank, StartsClosed)
 {
     Bank b;
     EXPECT_FALSE(b.isOpen());
-    EXPECT_TRUE(b.canActivate(0));
-    EXPECT_FALSE(b.canPrecharge(0));
-    EXPECT_FALSE(b.canRead(0, 0));
-    EXPECT_FALSE(b.canWrite(0, 0));
+    // Activate allowed at 0; precharge and column accesses need an
+    // open row.
+    EXPECT_LE(b.actAllowedAt(), 0u);
+    EXPECT_EQ(b.classify(0), RowOutcome::Empty);
+    EXPECT_NE(b.classify(0), RowOutcome::Hit);
 }
 
 TEST(Bank, ClassifyEmptyHitConflict)
@@ -47,26 +48,29 @@ TEST(Bank, TrcdGatesColumnAccess)
 {
     Bank b;
     b.activate(1, 10, kT);
-    EXPECT_FALSE(b.canRead(1, 10 + kT.tRCD - 1));
-    EXPECT_TRUE(b.canRead(1, 10 + kT.tRCD));
-    EXPECT_FALSE(b.canWrite(1, 10 + kT.tRCD - 1));
-    EXPECT_TRUE(b.canWrite(1, 10 + kT.tRCD));
+    EXPECT_EQ(b.classify(1), RowOutcome::Hit);
+    EXPECT_GT(b.rdAllowedAt(), 10 + kT.tRCD - 1);
+    EXPECT_LE(b.rdAllowedAt(), 10 + kT.tRCD);
+    EXPECT_GT(b.wrAllowedAt(), 10 + kT.tRCD - 1);
+    EXPECT_LE(b.wrAllowedAt(), 10 + kT.tRCD);
 }
 
 TEST(Bank, ReadRequiresMatchingRow)
 {
     Bank b;
     b.activate(1, 0, kT);
-    EXPECT_FALSE(b.canRead(2, 100));
-    EXPECT_TRUE(b.canRead(1, 100));
+    EXPECT_EQ(b.classify(2), RowOutcome::Conflict);
+    EXPECT_EQ(b.classify(1), RowOutcome::Hit);
+    EXPECT_LE(b.rdAllowedAt(), 100u);
 }
 
 TEST(Bank, TrasGatesPrecharge)
 {
     Bank b;
     b.activate(1, 0, kT);
-    EXPECT_FALSE(b.canPrecharge(kT.tRAS - 1));
-    EXPECT_TRUE(b.canPrecharge(kT.tRAS));
+    EXPECT_TRUE(b.isOpen());
+    EXPECT_GT(b.preAllowedAt(), kT.tRAS - 1);
+    EXPECT_LE(b.preAllowedAt(), kT.tRAS);
 }
 
 TEST(Bank, TrpGatesActivateAfterPrecharge)
@@ -75,8 +79,8 @@ TEST(Bank, TrpGatesActivateAfterPrecharge)
     b.activate(1, 0, kT);
     b.precharge(kT.tRAS, kT);
     EXPECT_FALSE(b.isOpen());
-    EXPECT_FALSE(b.canActivate(kT.tRAS + kT.tRP - 1));
-    EXPECT_TRUE(b.canActivate(kT.tRAS + kT.tRP));
+    EXPECT_GT(b.actAllowedAt(), kT.tRAS + kT.tRP - 1);
+    EXPECT_LE(b.actAllowedAt(), kT.tRAS + kT.tRP);
 }
 
 TEST(Bank, TrcGatesBackToBackActivates)
@@ -87,9 +91,9 @@ TEST(Bank, TrcGatesBackToBackActivates)
     b.precharge(kT.tRAS, kT);
     const Tick after_trp = kT.tRAS + kT.tRP;
     if (after_trp < kT.tRC) {
-        EXPECT_FALSE(b.canActivate(kT.tRC - 1));
+        EXPECT_GT(b.actAllowedAt(), kT.tRC - 1);
     }
-    EXPECT_TRUE(b.canActivate(kT.tRC));
+    EXPECT_LE(b.actAllowedAt(), kT.tRC);
 }
 
 TEST(Bank, ReadToPrechargeDelay)
@@ -100,8 +104,9 @@ TEST(Bank, ReadToPrechargeDelay)
     b.read(rd_at, kT, false);
     const Tick rtp_done =
         rd_at + std::max<Tick>(1, Tick(kT.dataCycles()) + kT.tRTP - 2);
-    EXPECT_FALSE(b.canPrecharge(rtp_done - 1));
-    EXPECT_TRUE(b.canPrecharge(rtp_done));
+    EXPECT_TRUE(b.isOpen());
+    EXPECT_GT(b.preAllowedAt(), rtp_done - 1);
+    EXPECT_LE(b.preAllowedAt(), rtp_done);
 }
 
 TEST(Bank, WriteRecoveryGatesPrecharge)
@@ -111,8 +116,9 @@ TEST(Bank, WriteRecoveryGatesPrecharge)
     const Tick wr_at = kT.tRAS + 10;
     b.write(wr_at, kT, false);
     const Tick wr_done = wr_at + kT.tWL + kT.dataCycles() + kT.tWR;
-    EXPECT_FALSE(b.canPrecharge(wr_done - 1));
-    EXPECT_TRUE(b.canPrecharge(wr_done));
+    EXPECT_TRUE(b.isOpen());
+    EXPECT_GT(b.preAllowedAt(), wr_done - 1);
+    EXPECT_LE(b.preAllowedAt(), wr_done);
 }
 
 TEST(Bank, AutoPrechargeClosesAfterRead)
@@ -123,7 +129,7 @@ TEST(Bank, AutoPrechargeClosesAfterRead)
     EXPECT_FALSE(b.isOpen());
     // The bank may not activate again until the implicit precharge
     // completes.
-    EXPECT_FALSE(b.canActivate(kT.tRAS + 10 + 1));
+    EXPECT_GT(b.actAllowedAt(), kT.tRAS + 10 + 1);
 }
 
 TEST(Bank, AutoPrechargeClosesAfterWrite)
@@ -138,8 +144,8 @@ TEST(Bank, RefreshBlocksActivate)
 {
     Bank b;
     b.refreshUntil(100);
-    EXPECT_FALSE(b.canActivate(99));
-    EXPECT_TRUE(b.canActivate(100));
+    EXPECT_GT(b.actAllowedAt(), 99u);
+    EXPECT_LE(b.actAllowedAt(), 100u);
 }
 
 TEST(BankDeath, ActivateOnOpenBankPanics)

@@ -4,7 +4,10 @@
  * run, the cache hierarchy's counts must conserve and match what the
  * memory controller saw — every hierarchy access is a merge, an L1 hit
  * or an L1 miss; every L1 miss an L2 hit or miss; every L2 miss exactly
- * one memory read; every memory write one controller write. Step-vs-
+ * one memory read; every memory write one controller write — and the
+ * controller's counts must match the DRAM column commands: one read
+ * command per read not forwarded from the write queue, one write
+ * command per write. Step-vs-
  * skip equality cannot catch a count both engines get wrong (such as
  * L2 "misses" that were refused probes, re-counted every cycle); this
  * check can.
@@ -42,7 +45,8 @@ TEST_P(LayerConservation, EveryTable4MechanismBothEngines)
             cfg.instructions = kInstr;
             cfg.engine = e;
             const RunResult r = runExperiment(cfg);
-            EXPECT_EQ(conservationViolation(r.caches, r.ctrl), "")
+            EXPECT_EQ(
+                conservationViolation(r.caches, r.ctrl, r.dramCommands), "")
                 << GetParam() << ' ' << ctrl::mechanismName(m) << ' '
                 << engineKindName(e);
             EXPECT_EQ(r.l2Misses, r.memReads);
@@ -64,7 +68,8 @@ TEST(LayerConservationCmp, FourCoreMixSummedOverCores)
         cfg.engine = e;
         const CmpResult r = runCmpExperiment(cfg);
         EXPECT_GT(r.caches.memReads, 0u);
-        EXPECT_EQ(conservationViolation(r.caches, r.ctrl), "")
+        EXPECT_EQ(conservationViolation(r.caches, r.ctrl, r.dramCommands),
+                  "")
             << engineKindName(e);
     }
 }

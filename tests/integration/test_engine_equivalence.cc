@@ -129,7 +129,8 @@ runBackpressured(const std::vector<std::string> &workloads,
         sum += k;
     }
     out.fingerprint = os.str();
-    out.conservation = conservationViolation(sum, s);
+    out.conservation =
+        conservationViolation(sum, s, sys.mem().commandCounts());
     return out;
 }
 
@@ -359,6 +360,51 @@ TEST(HorizonMemoEdgeCases, MemoIsTransparentToSkipDecisions)
         EXPECT_EQ(im->skippedCycles(), ib->skippedCycles())
             << ctrl::mechanismName(m);
         EXPECT_EQ(memo.memCycles, bare.memCycles) << ctrl::mechanismName(m);
+    }
+}
+
+TEST(HorizonMemoEdgeCases, MemoIsTransparentUnderStallAttribution)
+{
+    // The per-bank constraint cache also arms while stall causes are
+    // attributed; there it answers with first-binding deadlines and
+    // feeds every stall scan. Caches on or off, the skip decisions, the
+    // stall JSON and the crit-path access stream must not change.
+    for (auto m : kSchedulerClasses) {
+        for (const char *wl : {"mcf", "swim"}) {
+            ExperimentConfig cfg;
+            cfg.workload = wl;
+            cfg.mechanism = m;
+            cfg.instructions = kInstr;
+            cfg.engine = EngineKind::Skip;
+            cfg.obs.engineIntrospect = true;
+            cfg.obs.stallAttribution = true;
+            cfg.obs.critPath = true;
+
+            cfg.horizonMemo = true;
+            const RunResult memo = runExperiment(cfg);
+            cfg.horizonMemo = false;
+            const RunResult bare = runExperiment(cfg);
+
+            ASSERT_NE(memo.obs, nullptr);
+            ASSERT_NE(bare.obs, nullptr);
+            const auto *im = memo.obs->introspect();
+            const auto *ib = bare.obs->introspect();
+            const std::string what =
+                std::string(ctrl::mechanismName(m)) + " " + wl;
+            EXPECT_GT(im->frontHorizonHits(), 0u) << what;
+            EXPECT_EQ(ib->frontHorizonHits(), 0u) << what;
+            EXPECT_EQ(im->steppedCycles(), ib->steppedCycles()) << what;
+            EXPECT_EQ(im->skippedCycles(), ib->skippedCycles()) << what;
+            EXPECT_EQ(memo.memCycles, bare.memCycles) << what;
+
+            std::ostringstream sm, sb;
+            memo.obs->writeStallJson(sm);
+            bare.obs->writeStallJson(sb);
+            EXPECT_EQ(sm.str(), sb.str()) << what;
+            EXPECT_EQ(memo.obs->critpath()->digest(),
+                      bare.obs->critpath()->digest())
+                << what;
+        }
     }
 }
 

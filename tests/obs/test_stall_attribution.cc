@@ -33,7 +33,7 @@ TEST(StallAttribution, ClassificationPriority)
     StallAttribution sa = twoBankChannel();
 
     // A read issues at 0 with its burst at [5, 9).
-    sa.noteBurst(0, 5, 9);
+    sa.noteBurst(0, 5, 9, 1);
     sa.account(0, 0, true, StallCause::None); // prep_issue
     // 1-4: command slot idle, only the booked burst outstanding.
     for (Tick t = 1; t < 5; ++t)
@@ -83,8 +83,8 @@ TEST(StallAttribution, OverlappingBurstsExtendTheBusyHorizon)
 {
     StallAttribution sa = twoBankChannel();
     // Back-to-back bursts [2, 6) and [6, 10): cycles 2-9 all transfer.
-    sa.noteBurst(0, 2, 6);
-    sa.noteBurst(0, 6, 10);
+    sa.noteBurst(0, 2, 6, 1);
+    sa.noteBurst(0, 6, 10, 2);
     for (Tick t = 0; t < 12; ++t)
         sa.account(0, t, false, StallCause::NoWork);
     EXPECT_EQ(sa.count(0, StallCause::DataTransfer), 8u);
@@ -113,7 +113,7 @@ TEST(StallAttribution, JsonIsDeterministic)
 {
     auto run = [] {
         StallAttribution sa = twoBankChannel();
-        sa.noteBurst(0, 3, 7);
+        sa.noteBurst(0, 3, 7, 1);
         for (Tick t = 0; t < 64; ++t)
             sa.account(0, t, t % 5 == 0,
                        t % 2 ? StallCause::TimingTRCD
