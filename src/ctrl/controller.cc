@@ -371,7 +371,8 @@ MemoryController::tick(Tick now)
 }
 
 Tick
-MemoryController::nextEventTick(Tick now, obs::WakeSource *src) const
+MemoryController::nextEventTick(Tick now, obs::WakeSource *src,
+                                Tick bound) const
 {
     Tick horizon = kTickMax;
     // First minimum wins, in scan order — attribution must never move
@@ -436,12 +437,17 @@ MemoryController::nextEventTick(Tick now, obs::WakeSource *src) const
         }
     }
 
+    const bool bound_open = bound > now;
     for (std::uint32_t ch = 0;
-         ch < mem_.numChannels() && horizon > now; ++ch)
-        consider(schedHorizon(ch, now), reasonOf(schedMemo_[ch].pin),
-                 std::int32_t(ch));
+         ch < mem_.numChannels() && horizon > now && bound_open; ++ch) {
+        // Horizon first: the wake reason is the pin of the memo that
+        // schedHorizon() may recompute, and the evaluation order of one
+        // call's arguments is unspecified.
+        const Tick t = schedHorizon(ch, now);
+        consider(t, reasonOf(schedMemo_[ch].pin), std::int32_t(ch));
+    }
 
-    if (sampler_ && horizon > now) {
+    if (sampler_ && horizon > now && bound_open) {
         // The epoch-boundary tick must run for real so its snapshot row
         // is emitted at the same tick as in the step engine.
         const Tick interval = sampler_->interval();

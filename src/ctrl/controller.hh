@@ -182,8 +182,17 @@ class MemoryController
      * When @p src is non-null the winning bound is attributed to its
      * component (first-minimum-wins over the same scan order, so the
      * returned horizon is identical with and without attribution).
+     *
+     * @p bound is a horizon the caller already holds and keeps unless
+     * this one is strictly earlier. While it is at or below @p now the
+     * per-channel scheduler horizons and the metrics epoch are not
+     * computed: they never return below @p now, so they cannot win the
+     * caller's strict-< compare. Pending reads and the refresh mirror
+     * are still scanned, since they can: a rank shadowed behind another
+     * rank's refresh reports a deadline already past.
      */
-    Tick nextEventTick(Tick now, obs::WakeSource *src) const;
+    Tick nextEventTick(Tick now, obs::WakeSource *src,
+                       Tick bound = kTickMax) const;
     Tick nextEventTick(Tick now) const
     {
         return nextEventTick(now, nullptr);

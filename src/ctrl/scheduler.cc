@@ -20,14 +20,15 @@ Scheduler::stallScan(Tick now, obs::StallAttribution &sink) const
 }
 
 void
-Scheduler::refreshBound(std::uint32_t b, const MemAccess *a) const
+Scheduler::noteBoundHit() const
+{
+    intro_->noteFrontHorizonHit();
+}
+
+void
+Scheduler::recomputeBound(std::uint32_t b, const MemAccess *a) const
 {
     if (cacheOn()) {
-        if (boundEpoch_[b] == cmdEpoch_) {
-            if (intro_)
-                intro_->noteFrontHorizonHit();
-            return;
-        }
         boundEpoch_[b] = cmdEpoch_;
         if (intro_)
             intro_->noteFrontHorizonMiss();

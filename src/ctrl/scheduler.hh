@@ -22,6 +22,7 @@
 
 #include "common/types.hh"
 #include "ctrl/access.hh"
+#include "ctrl/bank_mask.hh"
 #include "dram/memory_system.hh"
 #include "obs/selfprof.hh"
 
@@ -155,6 +156,8 @@ class Scheduler
         bounds_.resize(n);
         boundMax_.assign(n, 0);
         boundEpoch_.assign(n, 0);
+        dirty_ = BankMask(n);
+        occupied_ = BankMask(n);
     }
     virtual ~Scheduler() = default;
 
@@ -258,7 +261,21 @@ class Scheduler
      * path, so every cached bank bound is stale. Overrides must call
      * the base (or invalidateBounds()) to keep the shared cache exact.
      */
-    virtual void onExternalCommand() { invalidateBounds(); }
+    virtual void
+    onExternalCommand()
+    {
+        invalidateBounds();
+        markAllDirty(); // open rows feed nextCmd and the piggyback check
+    }
+
+    /**
+     * Every bank's arbitration inputs may have changed: the next tick()
+     * re-runs every bank arbiter, as the full per-tick scan did. Called
+     * by the scheduler itself on channel-wide events, and before every
+     * tick by the full-scan oracle (FullScanScheduler), whose results
+     * must equal the incremental ones byte for byte.
+     */
+    virtual void markAllDirty() { dirty_.setAll(); }
 
     /**
      * Allow or forbid the per-bank bound cache (and any policy-level
@@ -405,7 +422,22 @@ class Scheduler
      * changed since it was computed; recomputed every call when the
      * cache is off.
      */
-    void refreshBound(std::uint32_t b, const MemAccess *a) const;
+    void
+    refreshBound(std::uint32_t b, const MemAccess *a) const
+    {
+        if (cacheOn() && boundEpoch_[b] == cmdEpoch_) {
+            if (intro_)
+                noteBoundHit();
+            return;
+        }
+        recomputeBound(b, a);
+    }
+
+    /** refreshBound()'s miss path. */
+    void recomputeBound(std::uint32_t b, const MemAccess *a) const;
+
+    /** Count a bound-cache hit (engine introspection). */
+    void noteBoundHit() const;
 
     /**
      * The engine-facing issue bound for bank @p b's candidate @p a at
@@ -429,6 +461,36 @@ class Scheduler
      * record; on a column access also stamps colIssuedAt / dataEnd.
      */
     Issued issueFor(MemAccess *a, Tick now);
+
+    /** Mark every bank dirty when globalSignature() moved since the
+     *  last call: a band flip can change any bank's decision. */
+    void
+    syncSignature()
+    {
+        if (const std::uint64_t sig = globalSignature(); sig != sig_) {
+            sig_ = sig;
+            markAllDirty();
+        }
+    }
+
+    /** Has globalSignature() moved since the last syncSignature()? A
+     *  const horizon query must then treat every bank as dirty. */
+    bool signatureMoved() const { return globalSignature() != sig_; }
+
+    /** Is @p f true for a bank that may have an arbitration move: a
+     *  dirty one, or any one when @p all (the band signature moved
+     *  since the last tick)? Visits banks in ascending order. */
+    template <typename F>
+    bool
+    anyMovable(bool all, F &&f) const
+    {
+        if (!all)
+            return dirty_.anyOf(f);
+        for (std::uint32_t b = 0; b < numBanks(); ++b)
+            if (f(b))
+                return true;
+        return false;
+    }
 
     /** Track @p a as the latest write to its block (on write enqueue). */
     void
@@ -461,6 +523,21 @@ class Scheduler
     mutable std::vector<Tick> boundMax_;
     mutable std::vector<std::uint64_t> boundEpoch_;
     mutable std::uint64_t cmdEpoch_ = 1; //!< 0 is the "stale" sentinel
+    /**
+     * Incremental arbitration (the Table 4 families). A bank is dirty
+     * when an event since its arbiter last ran may change what that
+     * arbiter decides — an enqueue, an issue from the bank, a
+     * preemption, a refresh command, a band-signature flip, or a
+     * channel-wide release (the families list theirs). tick() runs
+     * arbiters on dirty banks only; a clean bank's would be a no-op.
+     */
+    BankMask dirty_;
+    /** Banks holding a candidate the transaction pick considers (an
+     *  ongoing access, or a FIFO front). */
+    BankMask occupied_;
+    /** globalSignature() at the last syncSignature(); the initial
+     *  sentinel makes the first tick mark every bank. */
+    std::uint64_t sig_ = ~std::uint64_t{0};
     /** Set by nextEventTick implementations at each bound site. */
     mutable HorizonPin pin_ = HorizonPin::None;
     /** Set by stallScan implementations: the access behind the returned

@@ -1,5 +1,7 @@
 #include "ctrl/schedulers/bk_in_order.hh"
 
+#include <algorithm>
+
 #include "obs/engine_introspect.hh"
 #include "obs/stall_attribution.hh"
 
@@ -18,6 +20,7 @@ BkInOrderScheduler::enqueue(MemAccess *a)
     if (queues_[b].empty())
         clearBound(b); // a new front: cached bound describes nothing
     queues_[b].push_back(a);
+    occupied_.set(b);
     if (a->isWrite()) {
         writes_ += 1;
         noteWriteEnqueued(a);
@@ -29,27 +32,32 @@ BkInOrderScheduler::enqueue(MemAccess *a)
 Scheduler::Issued
 BkInOrderScheduler::tick(Tick now)
 {
-    const std::uint32_t n = numBanks();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const std::uint32_t b = (rr_ + 1 + i) % n;
+    // Round robin over the non-empty FIFOs (occupied); there is no
+    // arbiter, so a dirty bank only widens the scan to an empty one.
+    Issued out;
+    BankMask::anyFrom(occupied_, dirty_, (rr_ + 1) % numBanks(),
+                      [&](std::uint32_t b) {
         auto &q = queues_[b];
         if (q.empty())
-            continue;
+            return false;
         MemAccess *a = q.front();
         if (bankBound(b, a, now) > now)
-            continue;
-        Issued out = issueFor(a, now);
+            return false;
+        out = issueFor(a, now);
         if (out.columnAccess) {
             q.pop_front();
+            if (q.empty())
+                occupied_.reset(b);
             if (a->isWrite())
                 writes_ -= 1;
             else
                 reads_ -= 1;
             rr_ = b; // round robin advances on completed service
         }
-        return out;
-    }
-    return {};
+        return true;
+    });
+    dirty_.clear();
+    return out;
 }
 
 bool
@@ -95,16 +103,11 @@ BkInOrderScheduler::nextEventTick(Tick now) const
     obs::prof::Scope prof(obs::prof::Phase::SchedHorizon);
     pin_ = HorizonPin::Timing;
     Tick horizon = kTickMax;
-    for (std::uint32_t b = 0; b < std::uint32_t(queues_.size()); ++b) {
-        const auto &q = queues_[b];
-        if (q.empty())
-            continue;
-        const Tick t = bankBound(b, q.front(), now);
-        if (t < horizon)
-            horizon = t;
-        if (horizon <= now)
-            return now;
-    }
+    if (occupied_.anyOf([&](std::uint32_t b) {
+            horizon = std::min(horizon, bankBound(b, queues_[b].front(), now));
+            return horizon <= now;
+        }))
+        return now;
     if (horizon == kTickMax)
         pin_ = HorizonPin::None;
     return horizon;

@@ -10,14 +10,16 @@ namespace bsim::ctrl
 {
 
 BurstScheduler::BurstScheduler(const SchedulerContext &ctx)
-    : Scheduler(ctx), banks_(numBanks())
+    : Scheduler(ctx), banks_(numBanks()), cands_(numBanks())
 {
 }
 
 void
 BurstScheduler::enqueue(MemAccess *a)
 {
-    BankState &bs = banks_[bankIndex(a->coords)];
+    const std::uint32_t b = bankIndex(a->coords);
+    BankState &bs = banks_[b];
+    dirty_.set(b);
     if (a->isWrite()) {
         // Figure 4: all writes enter the write queue in order and are
         // complete from the view of the CPU.
@@ -99,19 +101,24 @@ BurstScheduler::findPiggybackWrite(std::uint32_t b)
                         });
 }
 
+bool
+BurstScheduler::preemptDue(const BankState &bs) const
+{
+    // Figure 5 lines 9-11: while the write queue occupancy is below the
+    // threshold, a read may interrupt an ongoing write.
+    return ctx_.params.readPreemption && bs.ongoing &&
+           bs.ongoing->isWrite() && !bs.bursts.empty() &&
+           ctx_.global->writesOutstanding < effectiveThreshold();
+}
+
 void
 BurstScheduler::maybePreempt(std::uint32_t b, Tick now)
 {
-    // Figure 5 lines 9-11: while the write queue occupancy is below the
-    // threshold, a read may interrupt an ongoing write; the write returns
-    // to the head of the write queue and restarts later.
-    if (!ctx_.params.readPreemption)
-        return;
+    // The write returns to the head of the write queue and restarts
+    // later.
     BankState &bs = banks_[b];
     MemAccess *a = bs.ongoing;
-    if (!a || !a->isWrite() || bs.bursts.empty())
-        return;
-    if (ctx_.global->writesOutstanding >= effectiveThreshold())
+    if (!preemptDue(bs))
         return;
     if (auditor_)
         auditor_->notePreemption(now, ctx_.global->writesOutstanding,
@@ -198,20 +205,18 @@ BurstScheduler::arbitrate(std::uint32_t b, Tick now)
 }
 
 int
-BurstScheduler::priorityOf(const MemAccess *a, dram::CmdType cmd) const
+BurstScheduler::priorityOf(const Candidate &c, std::uint32_t b) const
 {
-    const bool read = a->isRead();
-    if (dram::isColumnAccess(cmd)) {
+    const bool read = c.read;
+    if (dram::isColumnAccess(c.cmd)) {
         if (!lastValid_) {
             // Before any column access, rank locality is vacuous; treat as
             // same-rank so bursts can start.
             return read ? 2 : 4;
         }
         const bool rank_aware = ctx_.params.rankAware;
-        const bool same_rank =
-            !rank_aware || a->coords.rank == lastRank_;
-        const bool same_bank = a->coords.rank == lastRank_ &&
-                               bankIndex(a->coords) == lastBank_;
+        const bool same_rank = !rank_aware || c.rank == lastRank_;
+        const bool same_bank = c.rank == lastRank_ && b == lastBank_;
         if (same_rank) {
             if (read)
                 return same_bank ? 1 : 2;
@@ -227,67 +232,75 @@ BurstScheduler::priorityOf(const MemAccess *a, dram::CmdType cmd) const
 Scheduler::Issued
 BurstScheduler::tick(Tick now)
 {
-    // Bank arbiters (Figure 5) including preemption checks.
-    for (std::uint32_t b = 0; b < banks_.size(); ++b) {
+    // Bank arbiters (Figure 5) including preemption checks. They run on
+    // dirty banks only: a clean bank's inputs have not changed since
+    // its arbiter last ran, so running it again would change nothing.
+    syncSignature();
+    dirty_.forEach([&](std::uint32_t b) {
         maybePreempt(b, now);
         arbitrate(b, now);
-        // A preempted write keeps its original pick time.
-        if (MemAccess *a = banks_[b].ongoing;
-            a && a->pickedAt == kTickMax)
-            a->pickedAt = now;
-    }
+        BankState &bs = banks_[b];
+        if (MemAccess *a = bs.ongoing) {
+            // A preempted write keeps its original pick time.
+            if (a->pickedAt == kTickMax)
+                a->pickedAt = now;
+            cands_[b] = {a, a->arrival, nextCmd(a), a->coords.rank,
+                         a->isRead()};
+            occupied_.set(b);
+        } else {
+            occupied_.reset(b);
+        }
+        if (!preemptDue(bs)) // a due preemption fires again next tick
+            dirty_.reset(b);
+    });
 
     // Transaction scheduler (Figure 6 with the Table 2 priorities):
     // among all banks' ongoing accesses pick the unblocked transaction
     // with the best priority; oldest first breaks ties.
-    MemAccess *best = nullptr;
-    std::uint32_t best_bank = 0;
-    dram::CmdType best_cmd = dram::CmdType::Precharge;
+    std::int32_t best = -1;
     int best_prio = 9;
-    MemAccess *oldest_any = nullptr;
-
-    for (std::uint32_t b = 0; b < banks_.size(); ++b) {
-        MemAccess *a = banks_[b].ongoing;
-        if (!a)
-            continue;
-        if (!oldest_any || a->arrival < oldest_any->arrival)
-            oldest_any = a;
-        const dram::CmdType cmd = nextCmd(a);
-        const int prio = priorityOf(a, cmd);
+    std::int32_t oldest = -1;
+    occupied_.forEach([&](std::uint32_t b) {
+        const Candidate &c = cands_[b];
+        if (oldest < 0 || c.arrival < cands_[oldest].arrival)
+            oldest = std::int32_t(b);
+        const int prio = priorityOf(c, b);
         if (prio > best_prio ||
-            (prio == best_prio && best && a->arrival >= best->arrival)) {
-            continue;
-        }
-        if (bankBound(b, a, now) > now)
-            continue;
-        best = a;
-        best_bank = b;
-        best_cmd = cmd;
+            (prio == best_prio && best >= 0 &&
+             c.arrival >= cands_[best].arrival))
+            return;
+        if (bankBound(b, c.access, now) > now)
+            return;
+        best = std::int32_t(b);
         best_prio = prio;
-    }
+    });
+    oldest_ = oldest;
 
-    if (!best) {
+    if (best < 0) {
         // Figure 6 lines 14-15: with nothing unblocked, switch to the bank
         // holding the oldest access so it gains priority next cycle.
-        if (oldest_any) {
-            lastBank_ = bankIndex(oldest_any->coords);
-            lastRank_ = oldest_any->coords.rank;
-            lastValid_ = true;
-        }
+        pointAtOldest();
         return {};
     }
 
-    Issued out = issueFor(best, now);
+    const std::uint32_t best_bank = std::uint32_t(best);
+    MemAccess *a = cands_[best_bank].access;
+    Issued out = issueFor(a, now);
+    dirty_.set(best_bank); // its open row, and maybe its ongoing, moved
     if (out.columnAccess) {
         BankState &bs = banks_[best_bank];
         if (auditor_ && bs.ongoingFromBurst)
-            auditor_->noteBurstRead(now, best->coords,
-                                    bs.ongoingFirstOfBurst,
-                                    best->outcome);
-        if (best->isWrite())
+            auditor_->noteBurstRead(now, a->coords, bs.ongoingFirstOfBurst,
+                                    a->outcome);
+        if (a->isWrite()) {
             writes_ -= 1;
-        else
-            reads_ -= 1;
+        } else if (--reads_ == 0) {
+            // Figure 5 line 6: the last outstanding read releases the
+            // postponed writes of every bank that holds some.
+            for (std::uint32_t w = 0; w < banks_.size(); ++w)
+                if (!banks_[w].writeQ.empty())
+                    dirty_.set(w);
+        }
         if (bs.ongoingFromBurst) {
             // Retire the front burst once drained; this bank is now at an
             // end of burst, the write piggybacking opportunity.
@@ -301,12 +314,28 @@ BurstScheduler::tick(Tick now)
         }
         bs.ongoing = nullptr;
         bs.ongoingFromBurst = false;
+        occupied_.reset(best_bank);
+        oldest_ = -1;
         lastBank_ = best_bank;
-        lastRank_ = best->coords.rank;
+        lastRank_ = a->coords.rank;
         lastValid_ = true;
-        (void)best_cmd;
     }
     return out;
+}
+
+void
+BurstScheduler::pointAtOldest()
+{
+    if (oldest_ < 0)
+        occupied_.forEach([&](std::uint32_t b) {
+            if (oldest_ < 0 || cands_[b].arrival < cands_[oldest_].arrival)
+                oldest_ = std::int32_t(b);
+        });
+    if (oldest_ >= 0) {
+        lastBank_ = std::uint32_t(oldest_);
+        lastRank_ = cands_[oldest_].rank;
+        lastValid_ = true;
+    }
 }
 
 bool
@@ -318,10 +347,11 @@ BurstScheduler::hasWork() const
 dram::StallCause
 BurstScheduler::stallScan(Tick now, obs::StallAttribution &sink) const
 {
-    // tick() ran every bank arbiter before coming up empty, so ongoing_
-    // reflects this cycle's Figure 5 decisions. Banks whose writes were
-    // postponed (reads outstanding channel-wide, or the piggyback gate
-    // closed) hold queued writes but no ongoing access.
+    // tick() brought every bank arbiter up to date before coming up
+    // empty, so ongoing reflects this cycle's Figure 5 decisions. Banks
+    // whose writes were postponed (reads outstanding channel-wide, or
+    // the piggyback gate closed) hold queued writes but no ongoing
+    // access.
     dram::StallCause channel_cause = dram::StallCause::NoWork;
     Tick oldest = kTickMax;
     const MemAccess *gated_front = nullptr;
@@ -355,64 +385,53 @@ BurstScheduler::stallScan(Tick now, obs::StallAttribution &sink) const
     return channel_cause;
 }
 
+HorizonPin
+BurstScheduler::moveOf(const BankState &bs) const
+{
+    if (bs.ongoing) // maybePreempt() would fire
+        return preemptDue(bs) ? HorizonPin::Preempt : HorizonPin::None;
+    if (!bs.bursts.empty())
+        return HorizonPin::ArbFill; // arbitrate() would start a burst read
+    if (bs.writeQ.empty())
+        return HorizonPin::None;
+    const std::size_t global_writes = ctx_.global->writesOutstanding;
+    if (global_writes >= ctx_.params.writeCap || reads_ == 0)
+        return HorizonPin::WriteDrain; // it would take the oldest write
+    if (!ctx_.params.writePiggyback ||
+        global_writes <= effectiveThreshold() || !bs.endOfBurst)
+        return HorizonPin::None;
+    // Const replay of findPiggybackWrite(): any queued write to the
+    // bank's open row qualifies.
+    const dram::Bank &bank = ctx_.mem->bank(bs.writeQ.front()->coords);
+    if (bank.isOpen())
+        for (const MemAccess *w : bs.writeQ)
+            if (w->coords.row == bank.openRow())
+                return HorizonPin::Piggyback;
+    return HorizonPin::None;
+}
+
 Tick
 BurstScheduler::nextEventTick(Tick now) const
 {
     // The Figure 5 bank arbiters run every tick, so skipping is legal
     // only when no arbiter can make a move: no preemption, no idle bank
     // that could pick up a write or start a burst. Each possible move
-    // forces one real tick ("return now").
+    // forces one real tick ("return now"). Only a dirty bank's arbiter
+    // can move, unless the band signature moved since the last tick.
     obs::prof::Scope prof(obs::prof::Phase::SchedHorizon);
-    const std::size_t global_writes = ctx_.global->writesOutstanding;
-    const bool write_q_full = global_writes >= ctx_.params.writeCap;
-    const std::size_t threshold = effectiveThreshold();
-
-    for (const BankState &bs : banks_) {
-        if (bs.ongoing) {
-            if (ctx_.params.readPreemption && bs.ongoing->isWrite() &&
-                !bs.bursts.empty() && global_writes < threshold) {
-                pin_ = HorizonPin::Preempt;
-                return now; // maybePreempt() would fire
-            }
-            continue;
-        }
-        if (!bs.bursts.empty()) {
-            pin_ = HorizonPin::ArbFill;
-            return now; // arbitrate() would start a burst read
-        }
-        if (bs.writeQ.empty())
-            continue;
-        if (write_q_full || reads_ == 0) {
-            pin_ = HorizonPin::WriteDrain;
-            return now; // arbitrate() would take the oldest write
-        }
-        if (ctx_.params.writePiggyback && global_writes > threshold &&
-            bs.endOfBurst) {
-            // Const replay of findPiggybackWrite(): any queued write to
-            // the bank's open row qualifies.
-            const dram::Bank &bank =
-                ctx_.mem->bank(bs.writeQ.front()->coords);
-            if (bank.isOpen())
-                for (const MemAccess *w : bs.writeQ)
-                    if (w->coords.row == bank.openRow()) {
-                        pin_ = HorizonPin::Piggyback;
-                        return now;
-                    }
-        }
-    }
+    if (anyMovable(signatureMoved(), [&](std::uint32_t b) {
+            pin_ = moveOf(banks_[b]);
+            return pin_ != HorizonPin::None;
+        }))
+        return now;
 
     pin_ = HorizonPin::Timing;
     Tick horizon = kTickMax;
-    for (std::uint32_t b = 0; b < std::uint32_t(banks_.size()); ++b) {
-        const BankState &bs = banks_[b];
-        if (!bs.ongoing)
-            continue;
-        const Tick t = bankBound(b, bs.ongoing, now);
-        if (t < horizon)
-            horizon = t;
-        if (horizon <= now)
-            return now;
-    }
+    if (occupied_.anyOf([&](std::uint32_t b) {
+            horizon = std::min(horizon, bankBound(b, cands_[b].access, now));
+            return horizon <= now;
+        }))
+        return now;
     if (horizon == kTickMax)
         pin_ = HorizonPin::None;
     return horizon;
@@ -423,21 +442,10 @@ BurstScheduler::onIdleSpan(Tick from, Tick span)
 {
     (void)from;
     (void)span;
-    // Figure 6 lines 14-15 run on every idle tick: point the rank/bank
-    // locality state at the oldest ongoing access so it gains Table 2
-    // priority. The ongoing set is frozen across a dead span, so the
-    // per-tick update is idempotent — replay it once.
-    const MemAccess *oldest_any = nullptr;
-    for (const BankState &bs : banks_) {
-        const MemAccess *a = bs.ongoing;
-        if (a && (!oldest_any || a->arrival < oldest_any->arrival))
-            oldest_any = a;
-    }
-    if (oldest_any) {
-        lastBank_ = bankIndex(oldest_any->coords);
-        lastRank_ = oldest_any->coords.rank;
-        lastValid_ = true;
-    }
+    // Figure 6 lines 14-15 run on every idle tick. The ongoing set is
+    // frozen across a dead span, so the per-tick update is idempotent —
+    // replay it once.
+    pointAtOldest();
 }
 
 std::map<std::string, double>

@@ -95,22 +95,49 @@ class BurstScheduler : public Scheduler
         bool frontStarted = false;       //!< front burst partially served
     };
 
+    /** What the transaction scheduler reads of a bank's ongoing access,
+     *  kept dense and refreshed whenever the bank is dirty. */
+    struct Candidate
+    {
+        MemAccess *access = nullptr;
+        Tick arrival = 0;
+        dram::CmdType cmd = dram::CmdType::Precharge; //!< next transaction
+        std::uint32_t rank = 0;
+        bool read = false;
+    };
+
     /** Figure 5: pick an ongoing access for bank @p b if it has none. */
     void arbitrate(std::uint32_t b, Tick now);
 
     /** Figure 5 lines 9-11: read preemption of an ongoing write. */
     void maybePreempt(std::uint32_t b, Tick now);
 
+    /** Would maybePreempt() fire on bank @p b now? While it would, the
+     *  bank stays dirty. */
+    bool preemptDue(const BankState &bs) const;
+
+    /** The Figure 5 move the arbiter of @p bs would make now (the
+     *  horizon pin naming it), or HorizonPin::None. */
+    HorizonPin moveOf(const BankState &bs) const;
+
     /** Oldest write in bank @p b directed to the bank's open row. */
     FlatQueue<MemAccess *>::iterator findPiggybackWrite(std::uint32_t b);
 
-    /** Table 2 priority of @p a's next transaction @p cmd (1 = best). */
-    int priorityOf(const MemAccess *a, dram::CmdType cmd) const;
+    /** Table 2 priority of bank @p b's candidate (1 = best). */
+    int priorityOf(const Candidate &c, std::uint32_t b) const;
+
+    /** Figure 6 lines 14-15: point the rank/bank locality state at the
+     *  bank holding the oldest ongoing access, if any. */
+    void pointAtOldest();
 
     /** Effective threshold for this cycle (static or dynamic, §7). */
     std::size_t effectiveThreshold() const;
 
     std::vector<BankState> banks_;
+    std::vector<Candidate> cands_; //!< per bank; valid where occupied_
+    /** Bank of the oldest ongoing access; -1 when unknown (recomputed
+     *  from the candidates) or when no bank holds one. */
+    std::int32_t oldest_ = -1;
     std::size_t reads_ = 0;
     std::size_t writes_ = 0;
 

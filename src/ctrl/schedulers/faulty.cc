@@ -6,7 +6,7 @@ namespace bsim::ctrl
 FaultyScheduler::FaultyScheduler(const SchedulerContext &ctx,
                                  std::unique_ptr<Scheduler> inner,
                                  std::uint64_t freezeAfter)
-    : Scheduler(ctx), inner_(std::move(inner)), freezeAfter_(freezeAfter)
+    : SchedulerDecorator(ctx, std::move(inner)), freezeAfter_(freezeAfter)
 {
 }
 
@@ -15,7 +15,7 @@ FaultyScheduler::tick(Tick now)
 {
     if (frozen())
         return {};
-    Issued issued = inner_->tick(now);
+    Issued issued = SchedulerDecorator::tick(now);
     if (issued.columnAccess)
         issued_ += 1;
     return issued;
@@ -24,7 +24,7 @@ FaultyScheduler::tick(Tick now)
 std::map<std::string, double>
 FaultyScheduler::extraStats() const
 {
-    auto stats = inner_->extraStats();
+    auto stats = SchedulerDecorator::extraStats();
     stats["faultFrozen"] = frozen() ? 1.0 : 0.0;
     stats["faultIssued"] = double(issued_);
     return stats;
@@ -38,9 +38,7 @@ FaultyScheduler::stallScan(Tick now, obs::StallAttribution &sink) const
         return hasWork() ? dram::StallCause::ArbLoss
                          : dram::StallCause::NoWork;
     }
-    const dram::StallCause c = inner_->stallScan(now, sink);
-    stallVictim_ = inner_->lastStallVictim();
-    return c;
+    return SchedulerDecorator::stallScan(now, sink);
 }
 
 Tick
@@ -50,9 +48,7 @@ FaultyScheduler::nextEventTick(Tick now) const
         pin_ = hasWork() ? HorizonPin::Conservative : HorizonPin::None;
         return hasWork() ? now : kTickMax;
     }
-    const Tick t = inner_->nextEventTick(now);
-    pin_ = inner_->lastHorizonPin();
-    return t;
+    return SchedulerDecorator::nextEventTick(now);
 }
 
 } // namespace bsim::ctrl

@@ -15,13 +15,13 @@
 #include <cstdint>
 #include <memory>
 
-#include "ctrl/scheduler.hh"
+#include "ctrl/schedulers/decorator.hh"
 
 namespace bsim::ctrl
 {
 
 /** Decorator that freezes the wrapped scheduler after N column accesses. */
-class FaultyScheduler : public Scheduler
+class FaultyScheduler : public SchedulerDecorator
 {
   public:
     /**
@@ -33,18 +33,7 @@ class FaultyScheduler : public Scheduler
                     std::unique_ptr<Scheduler> inner,
                     std::uint64_t freezeAfter);
 
-    void enqueue(MemAccess *a) override { inner_->enqueue(a); }
     Issued tick(Tick now) override;
-    std::size_t readCount() const override { return inner_->readCount(); }
-    std::size_t writeCount() const override
-    {
-        return inner_->writeCount();
-    }
-    bool hasWork() const override { return inner_->hasWork(); }
-    MemAccess *findWrite(Addr block_base) const override
-    {
-        return inner_->findWrite(block_base);
-    }
     std::map<std::string, double> extraStats() const override;
     dram::StallCause stallScan(Tick now,
                                obs::StallAttribution &sink) const override;
@@ -57,61 +46,10 @@ class FaultyScheduler : public Scheduler
      */
     Tick nextEventTick(Tick now) const override;
 
-    void onExternalCommand() override { inner_->onExternalCommand(); }
-    void setIntrospect(obs::EngineIntrospect *intro) override
-    {
-        Scheduler::setIntrospect(intro);
-        inner_->setIntrospect(intro);
-    }
-    // Engine flags must reach the wrapped policy: the inner scheduler
-    // computes the bounds and (pre-freeze) the horizons, so configuring
-    // only the wrapper would leave it running cache-free conservative.
-    void setEventDriven(bool on) override
-    {
-        Scheduler::setEventDriven(on);
-        inner_->setEventDriven(on);
-    }
-    void setHorizonMemo(bool on) override
-    {
-        Scheduler::setHorizonMemo(on);
-        inner_->setHorizonMemo(on);
-    }
-    void setExactBounds(bool on) override
-    {
-        Scheduler::setExactBounds(on);
-        inner_->setExactBounds(on);
-    }
-    void setAuditor(obs::ProtocolAuditor *auditor) override
-    {
-        Scheduler::setAuditor(auditor);
-        inner_->setAuditor(auditor);
-    }
-    bool globallySensitive() const override
-    {
-        return inner_->globallySensitive();
-    }
-    // Without this forward a wrapped globally-sensitive policy would
-    // present the base signature (0): the controller's horizon memo
-    // would survive watermark/threshold band crossings it must not.
-    std::uint64_t globalSignature() const override
-    {
-        return inner_->globalSignature();
-    }
-    void onIdleSpan(Tick from, Tick span) override
-    {
-        inner_->onIdleSpan(from, span);
-    }
-    void queueOccupancy(std::vector<std::uint32_t> &reads,
-                        std::vector<std::uint32_t> &writes) const override
-    {
-        inner_->queueOccupancy(reads, writes);
-    }
-
     /** True once the injected fault has triggered. */
     bool frozen() const { return issued_ >= freezeAfter_; }
 
   private:
-    std::unique_ptr<Scheduler> inner_;
     std::uint64_t freezeAfter_;
     std::uint64_t issued_ = 0; //!< column accesses issued so far
 };

@@ -18,6 +18,7 @@ IntelScheduler::IntelScheduler(const SchedulerContext &ctx)
 void
 IntelScheduler::enqueue(MemAccess *a)
 {
+    dirty_.set(bankIndex(a->coords));
     if (a->isWrite()) {
         writeQ_.push_back(a);
         writes_ += 1;
@@ -28,51 +29,75 @@ IntelScheduler::enqueue(MemAccess *a)
     }
 }
 
-void
-IntelScheduler::arbitrate()
+bool
+IntelScheduler::preemptDue(std::uint32_t b) const
 {
-    const std::size_t global_writes = ctx_.global->writesOutstanding;
-    const bool write_q_full = global_writes >= ctx_.params.writeCap;
-
     // Read preemption (Intel_RP): a read may interrupt an ongoing write
     // unless the write queue has saturated or a flush is in progress
     // (preempting during a flush would just thrash the flush).
-    if (ctx_.params.readPreemption && !write_q_full && !drainMode_) {
-        for (std::uint32_t b = 0; b < ongoing_.size(); ++b) {
-            MemAccess *a = ongoing_[b];
-            if (a && a->isWrite() && !readQ_[b].empty()) {
-                writeQ_.push_front(a); // it was the oldest write
-                ongoing_[b] = nullptr;
-                clearBound(b);
-                preemptions_ += 1;
-            }
-        }
-    }
+    const MemAccess *a = ongoing_[b];
+    return ctx_.params.readPreemption &&
+           ctx_.global->writesOutstanding < ctx_.params.writeCap &&
+           !drainMode_ && a && a->isWrite() && !readQ_[b].empty();
+}
+
+void
+IntelScheduler::occupy(std::uint32_t b, MemAccess *a)
+{
+    ongoing_[b] = a;
+    startSeq_[b] = ++seq_;
+    occupied_.set(b);
+    clearBound(b);
+}
+
+void
+IntelScheduler::vacate(std::uint32_t b)
+{
+    if (occupied_.count() >= kMaxOngoing)
+        markAllDirty();
+    ongoing_[b] = nullptr;
+    occupied_.reset(b);
+    dirty_.set(b);
+}
+
+void
+IntelScheduler::arbitrate()
+{
+    // Only dirty banks are visited: a clean bank's inputs have not
+    // changed since it was last arbitrated, so it would not move.
+    const std::size_t global_writes = ctx_.global->writesOutstanding;
+    const bool write_q_full = global_writes >= ctx_.params.writeCap;
+
+    dirty_.forEach([&](std::uint32_t b) {
+        if (!preemptDue(b))
+            return;
+        writeQ_.push_front(ongoing_[b]); // it was the oldest write
+        vacate(b);
+        clearBound(b);
+        preemptions_ += 1;
+    });
 
     // Write-queue flush (the patent's bursty drain): a full write queue
     // triggers a flush that keeps priority on writes until the queue is
     // half empty; otherwise writes wait until no reads are outstanding.
-    if (write_q_full)
-        drainMode_ = true;
-    else if (global_writes <= ctx_.params.writeCap / 2)
-        drainMode_ = false;
+    const bool drain =
+        write_q_full ||
+        (drainMode_ && global_writes > ctx_.params.writeCap / 2);
+    if (drain != drainMode_) {
+        drainMode_ = drain;
+        markAllDirty();
+    }
     const bool service_writes =
         !writeQ_.empty() && (drainMode_ || reads_ == 0);
+    const auto idle = [&](std::uint32_t b) { return !ongoing_[b]; };
 
-    if (service_writes) {
+    if (service_writes && dirty_.anyOf(idle)) {
         // Drain oldest-first into any idle bank.
-        std::size_t busy = 0;
-        for (MemAccess *a : ongoing_)
-            if (a)
-                busy += 1;
         for (auto it = writeQ_.begin();
-             it != writeQ_.end() && busy < 4;) {
+             it != writeQ_.end() && occupied_.count() < kMaxOngoing;) {
             const std::uint32_t b = bankIndex((*it)->coords);
-            if (!ongoing_[b]) {
-                busy += 1;
-                ongoing_[b] = *it;
-                startSeq_[b] = ++seq_;
-                clearBound(b);
+            if (!ongoing_[b] && dirty_.test(b)) {
+                occupy(b, *it);
                 it = writeQ_.erase(it);
             } else {
                 ++it;
@@ -85,16 +110,11 @@ IntelScheduler::arbitrate()
     // queue for page hits, so grouping is partial (the paper's critique
     // of both RowHit and Intel in Section 4.2).
     constexpr std::size_t kReorderWindow = 4;
-    constexpr std::size_t kMaxOngoing = 4;
-    std::size_t ongoing_count = 0;
-    for (MemAccess *a : ongoing_)
-        if (a)
-            ongoing_count += 1;
-    for (std::uint32_t b = 0; b < ongoing_.size(); ++b) {
-        if (ongoing_count >= kMaxOngoing)
-            break;
+    dirty_.anyOf([&](std::uint32_t b) {
+        if (occupied_.count() >= kMaxOngoing)
+            return true;
         if (ongoing_[b] || readQ_[b].empty())
-            continue;
+            return false;
         auto &q = readQ_[b];
         auto pick = q.begin();
         const dram::Bank &bank = ctx_.mem->bank(q.front()->coords);
@@ -109,18 +129,25 @@ IntelScheduler::arbitrate()
             if (hit != window_end)
                 pick = hit;
         }
-        ongoing_[b] = *pick;
-        startSeq_[b] = ++seq_;
-        clearBound(b);
+        occupy(b, *pick);
         q.erase(pick);
-        ongoing_count += 1;
-    }
+        return false;
+    });
+
+    // A bank left idle behind the cap is woken by vacate(); only a due
+    // preemption (a drain that just ended) needs another pass.
+    dirty_.forEach([&](std::uint32_t b) {
+        if (!preemptDue(b))
+            dirty_.reset(b);
+    });
 }
 
 Scheduler::Issued
 IntelScheduler::tick(Tick now)
 {
-    arbitrate();
+    syncSignature();
+    if (dirty_.any())
+        arbitrate();
 
     // Once started, an access has the highest priority so that it can
     // finish as quickly as possible, reducing the degree of reordering
@@ -128,29 +155,26 @@ IntelScheduler::tick(Tick now)
     // order, issuing the first unblocked transaction. Unlike burst
     // scheduling's Table 2 there is no same-rank clustering of data
     // transfers, so rank-to-rank turnaround bubbles go unmitigated.
-    MemAccess *best = nullptr;
-    std::uint32_t best_bank = 0;
+    std::int32_t best = -1;
     std::uint64_t best_seq = ~std::uint64_t{0};
-    for (std::uint32_t b = 0; b < ongoing_.size(); ++b) {
-        MemAccess *a = ongoing_[b];
-        if (!a || startSeq_[b] >= best_seq)
-            continue;
-        if (bankBound(b, a, now) <= now) {
-            best = a;
-            best_bank = b;
+    occupied_.forEach([&](std::uint32_t b) {
+        if (startSeq_[b] < best_seq && bankBound(b, ongoing_[b], now) <= now) {
+            best = std::int32_t(b);
             best_seq = startSeq_[b];
         }
-    }
-    if (!best)
+    });
+    if (best < 0)
         return {};
 
-    Issued out = issueFor(best, now);
+    MemAccess *a = ongoing_[best];
+    Issued out = issueFor(a, now);
     if (out.columnAccess) {
-        ongoing_[best_bank] = nullptr;
-        if (best->isWrite())
+        vacate(std::uint32_t(best));
+        if (a->isWrite()) {
             writes_ -= 1;
-        else
-            reads_ -= 1;
+        } else if (--reads_ == 0) {
+            markAllDirty(); // no reads left: writes may now be serviced
+        }
     }
     return out;
 }
@@ -216,18 +240,18 @@ IntelScheduler::nextEventTick(Tick now) const
     // arbitrate() mutates state even on idle ticks (preemption, drain
     // flips, filling ongoing slots), so skipping is legal only when the
     // next arbitration pass is provably a no-op. Each possible move
-    // below forces "return now" — one real tick — instead.
+    // below forces "return now" — one real tick — instead. Only a dirty
+    // bank can move, unless the band signature moved since the last
+    // tick.
     obs::prof::Scope prof(obs::prof::Phase::SchedHorizon);
     const std::size_t global_writes = ctx_.global->writesOutstanding;
     const bool write_q_full = global_writes >= ctx_.params.writeCap;
+    const bool all = signatureMoved();
 
-    if (ctx_.params.readPreemption && !write_q_full && !drainMode_)
-        for (std::uint32_t b = 0; b < std::uint32_t(ongoing_.size()); ++b)
-            if (ongoing_[b] && ongoing_[b]->isWrite() &&
-                !readQ_[b].empty()) {
-                pin_ = HorizonPin::Preempt;
-                return now;
-            }
+    if (anyMovable(all, [&](std::uint32_t b) { return preemptDue(b); })) {
+        pin_ = HorizonPin::Preempt;
+        return now;
+    }
 
     // A pending drain-mode flip is itself a state change the next
     // arbitration pass applies.
@@ -241,39 +265,33 @@ IntelScheduler::nextEventTick(Tick now) const
         return now;
     }
 
-    std::size_t busy = 0;
-    for (const MemAccess *a : ongoing_)
-        if (a)
-            busy += 1;
-
+    const bool headroom = occupied_.count() < kMaxOngoing;
     const bool service_writes =
         !writeQ_.empty() && (drainMode_ || reads_ == 0);
-    if (service_writes && busy < 4)
-        for (const MemAccess *w : writeQ_)
-            if (!ongoing_[bankIndex(w->coords)]) {
+    const auto idle = [&](std::uint32_t b) { return !ongoing_[b]; };
+    if (service_writes && headroom && anyMovable(all, idle))
+        for (const MemAccess *w : writeQ_) {
+            const std::uint32_t b = bankIndex(w->coords);
+            if (!ongoing_[b] && (all || dirty_.test(b))) {
                 pin_ = HorizonPin::WriteDrain;
                 return now;
             }
+        }
 
-    if (busy < 4) // kMaxOngoing read-fill headroom
-        for (std::uint32_t b = 0; b < std::uint32_t(ongoing_.size()); ++b)
-            if (!ongoing_[b] && !readQ_[b].empty()) {
-                pin_ = HorizonPin::ArbFill;
-                return now;
-            }
+    if (headroom && anyMovable(all, [&](std::uint32_t b) { // read fill
+            return !ongoing_[b] && !readQ_[b].empty();
+        })) {
+        pin_ = HorizonPin::ArbFill;
+        return now;
+    }
 
     pin_ = HorizonPin::Timing;
     Tick horizon = kTickMax;
-    for (std::uint32_t b = 0; b < std::uint32_t(ongoing_.size()); ++b) {
-        const MemAccess *a = ongoing_[b];
-        if (!a)
-            continue;
-        const Tick t = bankBound(b, a, now);
-        if (t < horizon)
-            horizon = t;
-        if (horizon <= now)
-            return now;
-    }
+    if (occupied_.anyOf([&](std::uint32_t b) {
+            horizon = std::min(horizon, bankBound(b, ongoing_[b], now));
+            return horizon <= now;
+        }))
+        return now;
     if (horizon == kTickMax)
         pin_ = HorizonPin::None;
     return horizon;

@@ -59,12 +59,28 @@ class IntelScheduler : public Scheduler
     }
 
   private:
-    /** Select ongoing accesses for idle banks; handle preemption. */
+    /** Reordering degree: at most this many banks hold an ongoing
+     *  access at once. */
+    static constexpr std::uint32_t kMaxOngoing = 4;
+
+    /** Select ongoing accesses for idle dirty banks; handle preemption. */
     void arbitrate();
+
+    /** Would arbitrate() preempt bank @p b's ongoing write now? While
+     *  it would, the bank stays dirty. */
+    bool preemptDue(std::uint32_t b) const;
+
+    /** Start @p a as bank @p b's ongoing access. */
+    void occupy(std::uint32_t b, MemAccess *a);
+
+    /** Bank @p b's ongoing access left (issued or preempted). A slot
+     *  freed under the kMaxOngoing cap lets any idle bank fill, so it
+     *  marks every bank dirty. */
+    void vacate(std::uint32_t b);
 
     std::vector<FlatQueue<MemAccess *>> readQ_; //!< per bank
     FlatQueue<MemAccess *> writeQ_;             //!< single, all banks
-    std::vector<MemAccess *> ongoing_;           //!< per bank
+    std::vector<MemAccess *> ongoing_;           //!< per bank; occupied_
     std::vector<std::uint64_t> startSeq_;        //!< per bank, start order
     std::uint64_t seq_ = 0;
     std::size_t reads_ = 0;

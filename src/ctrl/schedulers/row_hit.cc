@@ -15,7 +15,9 @@ RowHitScheduler::RowHitScheduler(const SchedulerContext &ctx)
 void
 RowHitScheduler::enqueue(MemAccess *a)
 {
-    queues_[bankIndex(a->coords)].push_back(a);
+    const std::uint32_t b = bankIndex(a->coords);
+    queues_[b].push_back(a);
+    dirty_.set(b);
     if (a->isWrite()) {
         writes_ += 1;
         noteWriteEnqueued(a);
@@ -43,6 +45,7 @@ RowHitScheduler::arbitrate(std::uint32_t b)
             pick = hit;
     }
     ongoing_[b] = *pick;
+    occupied_.set(b);
     q.erase(pick);
     clearBound(b); // new probe candidate for this bank
 }
@@ -50,25 +53,35 @@ RowHitScheduler::arbitrate(std::uint32_t b)
 Scheduler::Issued
 RowHitScheduler::tick(Tick now)
 {
-    const std::uint32_t n = numBanks();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const std::uint32_t b = (rr_ + 1 + i) % n;
-        arbitrate(b);
+    // Round robin over the banks holding an ongoing access or needing
+    // arbitration (dirty: backlog and no ongoing access). A bank is
+    // arbitrated when the scan reaches it, so the row-hit pick sees the
+    // open row of that moment; the other banks would be no-ops.
+    Issued out;
+    BankMask::anyFrom(occupied_, dirty_, (rr_ + 1) % numBanks(),
+                      [&](std::uint32_t b) {
+        if (dirty_.test(b)) {
+            dirty_.reset(b);
+            arbitrate(b);
+        }
         MemAccess *a = ongoing_[b];
         if (!a || bankBound(b, a, now) > now)
-            continue;
-        Issued out = issueFor(a, now);
+            return false;
+        out = issueFor(a, now);
         if (out.columnAccess) {
             ongoing_[b] = nullptr;
+            occupied_.reset(b);
+            if (!queues_[b].empty())
+                dirty_.set(b);
             if (a->isWrite())
                 writes_ -= 1;
             else
                 reads_ -= 1;
             rr_ = b;
         }
-        return out;
-    }
-    return {};
+        return true;
+    });
+    return out;
 }
 
 bool
@@ -110,23 +123,19 @@ RowHitScheduler::nextEventTick(Tick now) const
     // a real arbitration state change — no skipping until every slot
     // with backlog is filled.
     obs::prof::Scope prof(obs::prof::Phase::SchedHorizon);
-    for (std::uint32_t b = 0; b < std::uint32_t(ongoing_.size()); ++b)
-        if (!ongoing_[b] && !queues_[b].empty()) {
-            pin_ = HorizonPin::ArbFill;
-            return now;
-        }
+    if (dirty_.anyOf([&](std::uint32_t b) {
+            return !ongoing_[b] && !queues_[b].empty();
+        })) {
+        pin_ = HorizonPin::ArbFill;
+        return now;
+    }
     pin_ = HorizonPin::Timing;
     Tick horizon = kTickMax;
-    for (std::uint32_t b = 0; b < std::uint32_t(ongoing_.size()); ++b) {
-        const MemAccess *a = ongoing_[b];
-        if (!a)
-            continue;
-        const Tick t = bankBound(b, a, now);
-        if (t < horizon)
-            horizon = t;
-        if (horizon <= now)
-            return now;
-    }
+    if (occupied_.anyOf([&](std::uint32_t b) {
+            horizon = std::min(horizon, bankBound(b, ongoing_[b], now));
+            return horizon <= now;
+        }))
+        return now;
     if (horizon == kTickMax)
         pin_ = HorizonPin::None;
     return horizon;

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/error.hh"
+#include "ctrl/schedulers/decorator.hh"
 #include "obs/engine_introspect.hh"
 #include "obs/observability.hh"
 #include "sim/conservation.hh"
@@ -231,25 +232,40 @@ checkPoint(const FuzzPoint &p, const OracleOptions &opt)
     // there, answering with first-binding deadlines — and further
     // requires byte-equal stall JSON and equal crit-path digests. The
     // cache counters themselves differ by design, so this compares
-    // semantics, not bytes.
+    // semantics, not bytes. A third, full-scan run of each pair marks
+    // every bank dirty before every tick (ctrl::FullScanScheduler): the
+    // incremental arbitration is a cache too, and that run must match
+    // the cached one byte for byte, result JSON included.
     if (opt.memoTransparency) {
         for (const bool attributed : {false, true}) {
             const char *mode = attributed ? " (stall attribution on)" : "";
-            sim::RunResult cached, uncached;
-            for (int memo = 0; memo < 2; ++memo) {
+            sim::RunResult uncached, cached, full;
+            sim::RunResult *runs[] = {&uncached, &cached, &full};
+            for (int memo = 0; memo < 3; ++memo) {
                 OracleOptions mopt = opt;
                 mopt.configTweak = [&opt, memo,
                                     attributed](sim::ExperimentConfig &cfg) {
                     cfg.obs.stallAttribution = attributed;
                     cfg.obs.critPath = attributed;
                     cfg.obs.engineIntrospect = true;
-                    cfg.horizonMemo = memo == 1;
+                    cfg.horizonMemo = memo != 0;
                     if (opt.configTweak)
                         opt.configTweak(cfg);
+                    if (memo == 2)
+                        cfg.schedulerFactory =
+                            ctrl::fullScanFactory(cfg.schedulerFactory);
                 };
-                if (!runOne(p, mopt, sim::EngineKind::Skip,
-                            memo ? cached : uncached, v))
+                if (!runOne(p, mopt, sim::EngineKind::Skip, *runs[memo], v))
                     return v;
+            }
+            const std::string cj = resultJson(cached), fj = resultJson(full);
+            if (cj != fj) {
+                v.ok = false;
+                v.oracle = "memo_transparency";
+                v.detail = std::string("full-scan arbitration changed the "
+                                       "result JSON") +
+                           mode + "; " + firstDiff(cj, fj);
+                return v;
             }
             const obs::EngineIntrospect *ic =
                 cached.obs ? cached.obs->introspect() : nullptr;
@@ -281,22 +297,29 @@ checkPoint(const FuzzPoint &p, const OracleOptions &opt)
             }
             if (!attributed)
                 continue;
-            const std::string cs = stallJson(cached),
-                              us = stallJson(uncached);
-            if (cs != us) {
-                v.ok = false;
-                v.oracle = "memo_transparency";
-                v.detail = "caches changed the stall JSON; " +
-                           firstDiff(cs, us);
-                return v;
-            }
-            const obs::CritPathTracer *tc = cached.obs->critpath();
-            const obs::CritPathTracer *tu = uncached.obs->critpath();
-            if (!tc || !tu || tc->digest() != tu->digest()) {
-                v.ok = false;
-                v.oracle = "memo_transparency";
-                v.detail = "caches changed the crit-path access stream";
-                return v;
+            const std::string cs = stallJson(cached);
+            for (const sim::RunResult *r : {&uncached, &full}) {
+                const char *what = r == &full ? "full-scan arbitration"
+                                              : "caches";
+                const std::string rs = stallJson(*r);
+                if (cs != rs) {
+                    v.ok = false;
+                    v.oracle = "memo_transparency";
+                    v.detail = std::string(what) +
+                               " changed the stall JSON; " +
+                               firstDiff(cs, rs);
+                    return v;
+                }
+                const obs::CritPathTracer *tc = cached.obs->critpath();
+                const obs::CritPathTracer *tr =
+                    r->obs ? r->obs->critpath() : nullptr;
+                if (!tc || !tr || tc->digest() != tr->digest()) {
+                    v.ok = false;
+                    v.oracle = "memo_transparency";
+                    v.detail = std::string(what) +
+                               " changed the crit-path access stream";
+                    return v;
+                }
             }
         }
     }

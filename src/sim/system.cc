@@ -342,9 +342,12 @@ System::skipHorizon(obs::WakeSource *src)
         consider(respQueue_.top().at,
                  core_event(respQueue_.top().core,
                             obs::WakeReason::Response));
+    // Once a core wake or a response holds h <= now_, the controller
+    // skips its scheduler horizons: the costly part, and never a winner
+    // then.
     obs::WakeSource ctrl_src;
     const Tick ctrl_t =
-        ctrl_->nextEventTick(now_, src ? &ctrl_src : nullptr);
+        ctrl_->nextEventTick(now_, src ? &ctrl_src : nullptr, h);
     if (ctrl_t < h) {
         h = ctrl_t;
         if (src)

@@ -20,6 +20,8 @@
 #include <string>
 #include <tuple>
 
+#include "ctrl/schedulers/decorator.hh"
+#include "obs/critpath.hh"
 #include "obs/observability.hh"
 #include "sim/conservation.hh"
 #include "sim/experiment.hh"
@@ -303,6 +305,67 @@ TEST(EngineEquivalence, ForcedBackpressureByteIdentical)
         EXPECT_EQ(step.fingerprint, skip.fingerprint)
             << "CMP " << ctrl::mechanismName(m);
         EXPECT_EQ(skip.conservation, "") << ctrl::mechanismName(m);
+    }
+}
+
+TEST(EngineEquivalence, FullScanOracleByteIdentical)
+{
+    // The Table 4 schedulers re-run a bank's arbiter only when an event
+    // marked the bank dirty. The full-scan oracle marks every bank dirty
+    // before every tick and horizon query — the old full rescan — so a
+    // missed dirty event shows up as a diff against it. Small and
+    // dynamic thresholds keep the band signature flipping; stall
+    // attribution and crit-path tracing add the per-bank causes and the
+    // per-access stream to the compare.
+    struct Variant
+    {
+        std::size_t threshold;
+        bool dynamic;
+        bool traced;
+    };
+    const Variant variants[] = {
+        {52, false, false}, {4, false, false}, {52, true, true}};
+    const auto stallJson = [](const RunResult &r) {
+        std::ostringstream os;
+        r.obs->writeStallJson(os);
+        return os.str();
+    };
+    for (ctrl::Mechanism m : ctrl::kAllMechanisms) {
+        for (const char *wl : {"swim", "mcf"}) {
+            for (const Variant &v : variants) {
+                for (EngineKind engine :
+                     {EngineKind::Step, EngineKind::Skip}) {
+                    ExperimentConfig cfg;
+                    cfg.workload = wl;
+                    cfg.mechanism = m;
+                    cfg.instructions = kInstr / 2;
+                    cfg.threshold = v.threshold;
+                    cfg.dynamicThreshold = v.dynamic;
+                    cfg.obs.stallAttribution = v.traced;
+                    cfg.obs.critPath = v.traced;
+                    cfg.obs.engineIntrospect = v.traced;
+                    const RunResult plain = runWith(cfg, engine);
+                    cfg.schedulerFactory = ctrl::fullScanFactory();
+                    cfg.schedulerFactoryId = "full-scan";
+                    const RunResult full = runWith(cfg, engine);
+
+                    const std::string what =
+                        std::string(ctrl::mechanismName(m)) + " " + wl +
+                        " threshold=" + std::to_string(v.threshold) +
+                        (v.dynamic ? " dynamic" : "") + " " +
+                        engineKindName(engine);
+                    EXPECT_EQ(resultJson(plain), resultJson(full)) << what;
+                    if (!v.traced)
+                        continue;
+                    ASSERT_NE(plain.obs, nullptr);
+                    ASSERT_NE(full.obs, nullptr);
+                    EXPECT_EQ(stallJson(plain), stallJson(full)) << what;
+                    EXPECT_EQ(plain.obs->critpath()->digest(),
+                              full.obs->critpath()->digest())
+                        << what;
+                }
+            }
+        }
     }
 }
 

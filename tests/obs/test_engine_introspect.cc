@@ -117,6 +117,36 @@ TEST(EngineIntrospect, PerReasonSumsMatchTheirTotals)
     EXPECT_EQ(spans, in->skipSpans());
 }
 
+TEST(EngineIntrospect, NoSkipIsCreditedToAnArbitrationMove)
+{
+    // The arbitration-move pins (arb fill, preempt, drain flip,
+    // piggyback, write drain) all mean "return now": a horizon they set
+    // can block a skip but never end one. A scheduler horizon's wake
+    // reason used to be read from the memo before it was recomputed,
+    // crediting skips to the previous memo's pin.
+    for (const ctrl::Mechanism m :
+         {ctrl::Mechanism::RowHit, ctrl::Mechanism::IntelRP,
+          ctrl::Mechanism::BurstTH, ctrl::Mechanism::AdaptiveHistory}) {
+        sim::ExperimentConfig cfg;
+        cfg.workload = "swim";
+        cfg.mechanism = m;
+        cfg.instructions = 20000;
+        cfg.obs.engineIntrospect = true;
+        const sim::RunResult r = sim::runExperiment(cfg);
+        const EngineIntrospect *in = r.obs->introspect();
+        ASSERT_NE(in, nullptr);
+        for (const WakeReason w :
+             {WakeReason::SchedArbFill, WakeReason::SchedPreempt,
+              WakeReason::SchedDrainFlip, WakeReason::SchedPiggyback,
+              WakeReason::SchedWriteDrain}) {
+            EXPECT_EQ(in->wakeCount(w), 0u)
+                << ctrl::mechanismName(m) << " " << obs::wakeReasonName(w);
+            EXPECT_EQ(in->skippedBy(w), 0u)
+                << ctrl::mechanismName(m) << " " << obs::wakeReasonName(w);
+        }
+    }
+}
+
 TEST(EngineIntrospect, IntrospectionDoesNotPerturbTheSimulation)
 {
     for (const ctrl::Mechanism m : kFamilies) {

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "obs/engine_introspect.hh"
 #include "sim/system.hh"
+#include "trace/spec_profiles.hh"
 #include "trace/trace_gen.hh"
 
 using namespace bsim;
@@ -126,4 +130,46 @@ TEST(System, RunCapStopsEarly)
     const Tick ran = sys.run(100);
     EXPECT_EQ(ran, 100u);
     EXPECT_FALSE(sys.done());
+}
+
+TEST(SkipHorizon, BoundedControllerScanIsExact)
+{
+    // System::skipHorizon hands the controller the horizon a core wake
+    // or a response already set; at or below now the controller then
+    // skips its scheduler horizons and metrics epoch, which never
+    // return below now. Pending reads and the refresh mirror are still
+    // scanned because they can: on a refresh-heavy device a rank whose
+    // deadline passed while another rank refreshed reports that past
+    // deadline. At every tick, a scan bounded at now must win the
+    // caller's strict-< compare exactly when the full scan would, with
+    // the same horizon and wake source.
+    bool past_deadline = false;
+    for (ctrl::Mechanism m :
+         {ctrl::Mechanism::BkInOrder, ctrl::Mechanism::RowHit,
+          ctrl::Mechanism::IntelRP, ctrl::Mechanism::BurstTH}) {
+        SystemConfig cfg = SystemConfig::baseline();
+        cfg.ctrl.mechanism = m;
+        dram::Timing &t = cfg.dram.timing;
+        t.tREFI = 2 * t.tRFC; // rank deadlines fall inside refreshes
+        trace::SyntheticGenerator gen(trace::profileByName("swim"), 4000, 1);
+        System sys(cfg, gen);
+        while (!sys.done() && sys.memCycles() < 100'000) {
+            sys.run(1); // one tick, then a horizon capped at that tick
+            const Tick now = sys.memCycles();
+            ctrl::MemoryController &mc = sys.controller();
+            obs::WakeSource full_src, src;
+            const Tick full = mc.nextEventTick(now, &full_src);
+            const Tick got = mc.nextEventTick(now, &src, now);
+            past_deadline = past_deadline || full < now;
+            ASSERT_EQ(got < now, full < now)
+                << ctrl::mechanismName(m) << " at " << now;
+            if (full < now) {
+                EXPECT_EQ(got, full);
+                EXPECT_EQ(src.reason, full_src.reason);
+                EXPECT_EQ(src.channel, full_src.channel);
+            }
+        }
+        EXPECT_TRUE(sys.done()) << ctrl::mechanismName(m);
+    }
+    EXPECT_TRUE(past_deadline);
 }
