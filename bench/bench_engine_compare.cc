@@ -1,30 +1,23 @@
 /**
  * @file
- * Engine comparison (google-benchmark): the tick-accurate step engine
- * versus the event-driven cycle-skipping engine, end to end, across the
- * five scheduler classes. The figure of merit is simulated memory
- * cycles per wall-clock second (counter `mem_cycles/s`); both engines
- * produce byte-identical statistics (tests/integration/
- * test_engine_equivalence.cc), so the ratio is pure simulator speed.
+ * Engine comparison: wall-clock time of the tick-accurate step engine
+ * versus the event-driven cycle-skipping engine on the same experiment.
+ * Both engines produce byte-identical statistics (tests/integration/
+ * test_engine_equivalence.cc), so their time ratio is pure simulator
+ * speed. Simulator throughput itself is measured by perfbench/; this
+ * binary keeps the two step/skip measurements:
  *
- * Two workloads bracket the design space:
+ *  - `--perf-smoke [--smoke-out=PATH]`: the CI gate. Fails (exit 1)
+ *    when the skip engine's speedup drops below its floors on OoO mcf
+ *    (dense traffic, where most cycles carry an event), blocking-core
+ *    mcf and `pchase` (one serialized pointer chase, the regime the
+ *    horizon machinery targets).
+ *  - `--figure-set-out=PATH [--figure-set-blocking]`: the ratio and skip
+ *    fraction for all 16 figure-set profiles plus their geomean.
  *
- *  - `mcf` (paper low-MLP SPEC model, ~8 overlapped misses in steady
- *    state): most memory cycles carry at least one event, so the skip
- *    engine's win is bounded by Amdahl — the per-instruction trace
- *    generation and cache/core modelling shared by both engines.
- *  - `pchase` (MLP = 1 microbenchmark: one serialized pointer chase,
- *    every load a main-memory miss): the machine alternates ~40-cycle
- *    fully-dead stall spans with a handful of live cycles, which is
- *    the regime the horizon machinery targets. Expected ratio is an
- *    order of magnitude or more (see docs/performance.md for measured
- *    numbers).
- *
- * These are engineering benchmarks for the simulator itself, not paper
- * results.
+ * The JSON carries the git SHA and CMake build type. Any other argument
+ * prints the usage and exits 2.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cmath>
@@ -33,11 +26,10 @@
 #include <string>
 #include <vector>
 
-#include "bench_context.hh"
+#include "bsim_git_sha.hh"
 #include "common/json.hh"
 #include "obs/engine_introspect.hh"
 #include "obs/observability.hh"
-#include "obs/selfprof.hh"
 #include "sim/experiment.hh"
 #include "trace/spec_profiles.hh"
 
@@ -46,136 +38,30 @@ using namespace bsim;
 namespace
 {
 
-constexpr ctrl::Mechanism kSchedulerClasses[] = {
-    ctrl::Mechanism::BkInOrder,       // per-bank FIFOs, round robin
-    ctrl::Mechanism::RowHit,          // row-hit first
-    ctrl::Mechanism::Intel,           // Intel P35-style read first
-    ctrl::Mechanism::Burst,           // the paper's burst scheduling
-    ctrl::Mechanism::AdaptiveHistory, // Hur & Lin history-based
-};
-
-void
-runEngine(benchmark::State &state, const char *workload,
-          std::uint64_t instructions)
+/** True when the compiler ran without optimization (-O0). */
+constexpr bool
+unoptimizedBuild()
 {
-    sim::ExperimentConfig cfg;
-    cfg.workload = workload;
-    cfg.mechanism = kSchedulerClasses[state.range(1)];
-    cfg.engine =
-        state.range(0) ? sim::EngineKind::Skip : sim::EngineKind::Step;
-    cfg.instructions = instructions;
-
-    std::uint64_t cycles = 0;
-    for (auto _ : state) {
-        const auto r = sim::runExperiment(cfg);
-        cycles = r.memCycles;
-        benchmark::DoNotOptimize(r.execCpuCycles);
-    }
-    state.counters["mem_cycles/s"] = benchmark::Counter(
-        double(cycles), benchmark::Counter::kIsIterationInvariantRate);
-    state.counters["mem_cycles"] = benchmark::Counter(double(cycles));
-    state.SetLabel(std::string(sim::engineKindName(cfg.engine)) + "/" +
-                   ctrl::mechanismName(cfg.mechanism));
+#ifdef __OPTIMIZE__
+    return false;
+#else
+    return true;
+#endif
 }
-
-/** Dense traffic: the honest worst case for cycle skipping. */
-void
-BM_Engine_mcf(benchmark::State &state)
-{
-    runEngine(state, "mcf", 60'000);
-}
-
-/** Serialized misses: the case the skip engine exists for. */
-void
-BM_Engine_pchase(benchmark::State &state)
-{
-    runEngine(state, "pchase", 60'000);
-}
-
-void
-engineArgs(benchmark::internal::Benchmark *b)
-{
-    for (int engine = 0; engine <= 1; ++engine)
-        for (int mech = 0; mech < 5; ++mech)
-            b->Args({engine, mech});
-}
-
-BENCHMARK(BM_Engine_mcf)->Apply(engineArgs)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Engine_pchase)
-    ->Apply(engineArgs)
-    ->Unit(benchmark::kMillisecond);
 
 /**
- * --introspect-out=PATH mode: instead of timing the engines, run the
- * skip engine with engine introspection + host self-profiling across
- * the five scheduler classes on both bracket workloads and write the
- * wake-reason attribution baseline (the committed BENCH_selfprof.json;
- * the numbers docs/performance.md quotes for "why can't mcf skip").
- * The engine_introspect sections are deterministic; selfprof_us is
- * host wall time and varies run to run, like every BENCH_*.json.
+ * Best-of-3 wall-clock milliseconds for one experiment config; the run's
+ * simulated memory cycles go to @p memCycles.
  */
-int
-writeIntrospectBaseline(const std::string &path)
-{
-    std::ofstream os(path);
-    if (!os) {
-        std::cerr << "cannot open '" << path << "' for writing\n";
-        return 1;
-    }
-
-    constexpr std::uint64_t kInstructions = 60'000;
-    JsonWriter w(os);
-    w.beginObject();
-    w.key("git_sha").value(BSIM_GIT_SHA);
-    w.key("build_type").value(BSIM_BUILD_TYPE);
-    w.key("instructions").value(kInstructions);
-    w.key("engine").value("skip");
-    w.key("runs").beginArray();
-    for (const char *workload : {"pchase", "mcf"}) {
-        for (const ctrl::Mechanism mech : kSchedulerClasses) {
-            sim::ExperimentConfig cfg;
-            cfg.workload = workload;
-            cfg.mechanism = mech;
-            cfg.instructions = kInstructions;
-            cfg.engine = sim::EngineKind::Skip;
-            cfg.obs.engineIntrospect = true;
-            cfg.obs.selfProf = true;
-            const sim::RunResult r = sim::runExperiment(cfg);
-
-            w.beginObject();
-            w.key("workload").value(workload);
-            w.key("mechanism").value(ctrl::mechanismName(mech));
-            w.key("mem_cycles").value(r.memCycles);
-            w.key("engine_introspect");
-            r.obs->introspect()->writeJson(w);
-            if (r.selfprof && r.selfprof->valid) {
-                w.key("selfprof_us").beginObject();
-                w.key("total").value(r.selfprof->totalUs);
-                for (std::size_t p = 0; p < obs::prof::kNumPhases; ++p)
-                    if (r.selfprof->selfUsByPhase[p] > 0)
-                        w.key(obs::prof::phaseName(obs::prof::Phase(p)))
-                            .value(r.selfprof->selfUsByPhase[p]);
-                w.endObject();
-            }
-            w.endObject();
-        }
-    }
-    w.endArray();
-    w.endObject();
-    os << '\n';
-    return os ? 0 : 1;
-}
-
-/** Best-of-3 wall-clock milliseconds for one experiment config. */
 double
-wallMs(const sim::ExperimentConfig &cfg)
+wallMs(const sim::ExperimentConfig &cfg, std::uint64_t &memCycles)
 {
     double best = 1e300;
     for (int rep = 0; rep < 3; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
         const auto r = sim::runExperiment(cfg);
         const auto t1 = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(r.execCpuCycles);
+        memCycles = r.memCycles;
         const double ms =
             std::chrono::duration<double, std::milli>(t1 - t0).count();
         if (ms < best)
@@ -208,17 +94,18 @@ measureRatio(const std::string &workload, std::uint64_t instructions,
 
     RatioRow row;
     row.workload = workload;
+    std::uint64_t memCycles = 0;
     cfg.engine = sim::EngineKind::Step;
-    row.stepMs = wallMs(cfg);
+    row.stepMs = wallMs(cfg, memCycles);
     cfg.engine = sim::EngineKind::Skip;
-    row.skipMs = wallMs(cfg);
+    row.skipMs = wallMs(cfg, memCycles);
     row.ratio = row.stepMs / row.skipMs;
 
     cfg.obs.engineIntrospect = true;
     const auto r = sim::runExperiment(cfg);
     const auto *in = r.obs->introspect();
-    if (in && r.memCycles > 0)
-        row.skipFrac = double(in->skippedCycles()) / double(r.memCycles);
+    if (in && memCycles > 0)
+        row.skipFrac = double(in->skippedCycles()) / double(memCycles);
     return row;
 }
 
@@ -232,7 +119,10 @@ measureRatio(const std::string &workload, std::uint64_t instructions,
 int
 writeFigureSet(const std::string &path, bool blockingCore)
 {
-    bsim::bench::warnIfUnoptimized();
+    if (unoptimizedBuild())
+        std::cerr << "warning: built without optimization (build type '"
+                  << BSIM_BUILD_TYPE << "'); these timings are not "
+                  << "comparable to a Release build's\n";
     std::ofstream os(path);
     if (!os) {
         std::cerr << "cannot open '" << path << "' for writing\n";
@@ -244,7 +134,7 @@ writeFigureSet(const std::string &path, bool blockingCore)
     w.beginObject();
     w.key("git_sha").value(BSIM_GIT_SHA);
     w.key("build_type").value(BSIM_BUILD_TYPE);
-    if (bsim::bench::unoptimizedBuild())
+    if (unoptimizedBuild())
         w.key("unoptimized_build").value(true);
     w.key("instructions").value(instructions);
     w.key("core").value(blockingCore ? "blocking" : "ooo");
@@ -289,8 +179,7 @@ writeFigureSet(const std::string &path, bool blockingCore)
 int
 perfSmoke(const std::string &outPath)
 {
-    if (bsim::bench::unoptimizedBuild()) {
-        bsim::bench::warnIfUnoptimized();
+    if (unoptimizedBuild()) {
         std::cerr << "perf-smoke requires an optimized build; refusing to "
                      "enforce wall-clock floors on -O0 numbers\n";
         return 1;
@@ -360,6 +249,11 @@ perfSmoke(const std::string &outPath)
     return ok ? 0 : 1;
 }
 
+constexpr const char *kUsage =
+    "usage: bench_engine_compare --perf-smoke [--smoke-out=PATH]\n"
+    "       bench_engine_compare --figure-set-out=PATH "
+    "[--figure-set-blocking]\n";
+
 } // namespace
 
 int
@@ -374,8 +268,6 @@ main(int argc, char **argv)
         const auto valueOf = [&arg](const char *prefix) {
             return arg.substr(std::string(prefix).size());
         };
-        if (arg.rfind("--introspect-out=", 0) == 0)
-            return writeIntrospectBaseline(valueOf("--introspect-out="));
         if (arg.rfind("--figure-set-out=", 0) == 0)
             figureOut = valueOf("--figure-set-out=");
         else if (arg == "--figure-set-blocking")
@@ -384,17 +276,18 @@ main(int argc, char **argv)
             smoke = true;
         else if (arg.rfind("--smoke-out=", 0) == 0)
             smokeOut = valueOf("--smoke-out=");
+        else {
+            std::cerr << "unknown argument '" << arg << "'\n" << kUsage;
+            return 2;
+        }
     }
-    if (!figureOut.empty())
-        return writeFigureSet(figureOut, figureBlocking);
-    if (smoke)
-        return perfSmoke(smokeOut);
-
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    bsim::bench::addBenchContext();
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    // Exactly one mode, and no option of the other one.
+    const bool figureSet = !figureOut.empty();
+    if (smoke == figureSet || (smoke && figureBlocking) ||
+        (figureSet && !smokeOut.empty())) {
+        std::cerr << kUsage;
+        return 2;
+    }
+    return smoke ? perfSmoke(smokeOut)
+                 : writeFigureSet(figureOut, figureBlocking);
 }

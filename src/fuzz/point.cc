@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/error.hh"
+#include "common/hash.hh"
 #include "trace/spec_profiles.hh"
 
 namespace bsim::fuzz
@@ -14,18 +15,6 @@ namespace bsim::fuzz
 
 namespace
 {
-
-/** FNV-1a for content-addressed scratch trace files. */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 14695981039346656037ULL;
-    for (const char c : s) {
-        h ^= std::uint8_t(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 // Token tables; the string forms match the burstsim CLI's options so a
 // repro file reads like a command line.

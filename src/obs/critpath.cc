@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hh"
+#include "common/hash.hh"
 #include "common/json.hh"
 #include "common/table.hh"
 
@@ -21,9 +22,6 @@ namespace
 /** Top-K records retained for the report (text shows the first 8). */
 constexpr std::size_t kTopK = 16;
 constexpr std::size_t kTopText = 8;
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 std::uint64_t
 sumCounts(const CritPathTracer::Counts &c)
@@ -117,7 +115,7 @@ blameSummary(const CritPathTracer::Counts &blame, std::size_t max_causes)
 } // namespace
 
 CritPathTracer::CritPathTracer(const std::string &jsonl_path)
-    : digest_(kFnvOffset)
+    : digest_(kFnv1aBasis)
 {
     if (!jsonl_path.empty()) {
         stream_.open(jsonl_path, std::ios::trunc);
@@ -287,10 +285,7 @@ CritPathTracer::emit(const Completed &c)
     writeCompleted(w, c);
     line << '\n';
     const std::string s = line.str();
-    for (unsigned char byte : s) {
-        digest_ ^= byte;
-        digest_ *= kFnvPrime;
-    }
+    digest_ = fnv1a(s, digest_);
     if (streaming_)
         stream_ << s;
 }

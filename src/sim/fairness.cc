@@ -8,11 +8,10 @@
 #include <ostream>
 #include <sstream>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include "common/crc32.hh"
 #include "common/error.hh"
+#include "common/hash.hh"
+#include "common/journal.hh"
 #include "common/log.hh"
 
 namespace bsim::sim
@@ -20,84 +19,6 @@ namespace bsim::sim
 
 namespace
 {
-
-// Private copies of the sweep journal's building blocks: sweep.cc keeps
-// its fnv1a and JournalWriter in an anonymous namespace on purpose (the
-// journal format is an implementation detail of each sweep kind), so
-// the fairness journal carries its own rather than widening that API.
-
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 14695981039346656037ULL;
-    for (const char c : s) {
-        h ^= std::uint8_t(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-/** Append-only v3-framed journal writer (single O_APPEND write per
- *  record + optional fdatasync; see sweep.cc's JournalWriter). */
-class JournalWriter
-{
-  public:
-    JournalWriter() = default;
-    ~JournalWriter()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-    }
-    JournalWriter(const JournalWriter &) = delete;
-    JournalWriter &operator=(const JournalWriter &) = delete;
-
-    void
-    open(const std::string &path, bool sync)
-    {
-        fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-                     0644);
-        if (fd_ < 0)
-            throwSimError(ErrorCategory::Resource,
-                          "cannot open fairness journal '%s' for writing",
-                          path.c_str());
-        path_ = path;
-        sync_ = sync;
-    }
-
-    bool isOpen() const { return fd_ >= 0; }
-
-    void
-    append(const std::string &payload)
-    {
-        char head[32];
-        std::snprintf(head, sizeof(head), "J3 %zu %08x ", payload.size(),
-                      crc32(payload));
-        std::string rec = head;
-        rec += payload;
-        rec += '\n';
-        const char *p = rec.data();
-        std::size_t left = rec.size();
-        while (left > 0) {
-            const ssize_t n = ::write(fd_, p, left);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                warn("fairness journal %s: append failed (%s)",
-                     path_.c_str(), std::strerror(errno));
-                return;
-            }
-            p += n;
-            left -= std::size_t(n);
-        }
-        if (sync_)
-            ::fdatasync(fd_);
-    }
-
-  private:
-    int fd_ = -1;
-    bool sync_ = true;
-    std::string path_;
-};
 
 std::string
 fmt(const char *f, double v)
@@ -234,16 +155,14 @@ loadFairnessJournal(const std::string &path)
             skip("unrecognized line");
             continue;
         }
-        unsigned long long len = 0;
-        unsigned int crc = 0;
-        int consumed = 0;
-        if (std::sscanf(line.c_str(), "J3 %llu %8x %n", &len, &crc,
-                        &consumed) < 2 ||
-            consumed <= 0) {
+        std::size_t len = 0;
+        std::uint32_t crc = 0;
+        const std::size_t payloadAt = parseJournalFrame(line, len, crc);
+        if (payloadAt == std::string::npos) {
             skip("unparseable v3 frame");
             continue;
         }
-        const std::string payload = line.substr(std::size_t(consumed));
+        const std::string payload = line.substr(payloadAt);
         if (payload.size() != len) {
             skip("framed length mismatch (torn tail?)");
             continue;
@@ -318,7 +237,7 @@ runFairnessSweep(const std::vector<CmpConfig> &points,
 
     // Open for appending before any work, so an unwritable path fails
     // the sweep up front.
-    JournalWriter journal_os;
+    JournalWriter journal_os("fairness");
     if (!opt.journal.empty())
         journal_os.open(opt.journal, opt.journalSync);
 

@@ -17,10 +17,11 @@
 #include <thread>
 #include <unordered_map>
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include "common/crc32.hh"
+#include "common/hash.hh"
+#include "common/journal.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "common/table.hh"
@@ -31,18 +32,6 @@ namespace bsim::sim
 
 namespace
 {
-
-/** FNV-1a, the repo's standard cheap digest. */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 14695981039346656037ULL;
-    for (const char c : s) {
-        h ^= std::uint8_t(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 /** "workload/Mechanism" display label of one point. */
 std::string
@@ -174,76 +163,6 @@ crashGateOpen(const CrashSpec &crash)
     marker << "crashed\n";
     return true;
 }
-
-/**
- * Append-only v3 journal writer. Each record is framed
- * (J3 <len> <crc32> <payload>\n), assembled into one buffer and
- * written with a single O_APPEND write(2): concurrent appenders never
- * interleave and a crash can only tear the tail. With @p sync every
- * record is followed by fdatasync() — the journal's durability point —
- * so a point acknowledged on disk survives SIGKILL and power loss.
- */
-class JournalWriter
-{
-  public:
-    JournalWriter() = default;
-    ~JournalWriter()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-    }
-    JournalWriter(const JournalWriter &) = delete;
-    JournalWriter &operator=(const JournalWriter &) = delete;
-
-    /** Open @p path for appending; throws SimError(Resource). */
-    void
-    open(const std::string &path, bool sync)
-    {
-        fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC,
-                     0644);
-        if (fd_ < 0)
-            throwSimError(ErrorCategory::Resource,
-                          "cannot open sweep journal '%s' for writing",
-                          path.c_str());
-        path_ = path;
-        sync_ = sync;
-    }
-
-    bool isOpen() const { return fd_ >= 0; }
-
-    /** Frame and append one payload (atomic single-write + fsync). */
-    void
-    append(const std::string &payload)
-    {
-        char head[32];
-        std::snprintf(head, sizeof(head), "J3 %zu %08x ", payload.size(),
-                      crc32(payload));
-        std::string rec = head;
-        rec += payload;
-        rec += '\n';
-        const char *p = rec.data();
-        std::size_t left = rec.size();
-        while (left > 0) {
-            const ssize_t n = ::write(fd_, p, left);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                warn("sweep journal %s: append failed (%s)",
-                     path_.c_str(), std::strerror(errno));
-                return;
-            }
-            p += n;
-            left -= std::size_t(n);
-        }
-        if (sync_)
-            ::fdatasync(fd_);
-    }
-
-  private:
-    int fd_ = -1;
-    bool sync_ = true;
-    std::string path_;
-};
 
 /**
  * JSONL progress telemetry + stderr heartbeat for one sweep.
@@ -601,23 +520,6 @@ parsePointPayload(const std::string &payload, std::uint64_t &key,
     return true;
 }
 
-/** Parse a v3 frame header "J3 <len> <crc> "; returns the payload
- *  start offset within @p line, or npos on syntax failure. */
-std::size_t
-parseFrameHeader(const std::string &line, std::size_t &len,
-                 std::uint32_t &crc)
-{
-    unsigned long long l = 0;
-    unsigned int c = 0;
-    int consumed = 0;
-    if (std::sscanf(line.c_str(), "J3 %llu %8x %n", &l, &c, &consumed) < 2 ||
-        consumed <= 0)
-        return std::string::npos;
-    len = std::size_t(l);
-    crc = c;
-    return std::size_t(consumed);
-}
-
 } // namespace
 
 const char *
@@ -676,7 +578,7 @@ scanSweepJournal(const std::string &path)
         } else if (line.rfind("J3 ", 0) == 0) {
             std::size_t len = 0;
             std::uint32_t crc = 0;
-            const std::size_t payloadAt = parseFrameHeader(line, len, crc);
+            const std::size_t payloadAt = parseJournalFrame(line, len, crc);
             if (payloadAt == std::string::npos) {
                 fail(JournalIssue::Kind::Malformed, "unparseable v3 frame");
             } else {
@@ -837,7 +739,7 @@ runExperimentSweep(const std::vector<ExperimentConfig> &points,
     // Open the journal for appending before any work starts, so an
     // unwritable path fails the sweep up front rather than after the
     // first completed point.
-    JournalWriter journal_os;
+    JournalWriter journal_os("sweep");
     std::mutex journal_mu;
     if (!opt.journal.empty())
         journal_os.open(opt.journal, opt.journalSync);

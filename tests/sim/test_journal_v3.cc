@@ -2,8 +2,9 @@
  * @file
  * Journal v3 hardening tests: CRC framing written by real sweeps,
  * record-level corruption detection (CRC flip, length mismatch, torn
- * tail), longest-valid-prefix repair, legacy v2 acceptance, and the
- * shardSlots partition the campaign layer is built on.
+ * tail), longest-valid-prefix repair, legacy v2 acceptance, pinned
+ * record keys, and the shardSlots partition the campaign layer is
+ * built on.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,8 @@
 #include <vector>
 
 #include "common/crc32.hh"
+#include "common/hash.hh"
+#include "sim/fairness.hh"
 #include "sim/sweep.hh"
 
 #include "sim_error_util.hh"
@@ -301,4 +304,24 @@ TEST(Crc32, KnownVectorsAndSensitivity)
     EXPECT_EQ(crc32(std::string("123456789")), 0xCBF43926u);
     EXPECT_EQ(crc32(std::string("")), 0x00000000u);
     EXPECT_NE(crc32(std::string("journal")), crc32(std::string("journak")));
+}
+
+TEST(Fnv1a, KnownVectorsAndChaining)
+{
+    EXPECT_EQ(fnv1a(""), kFnv1aBasis);
+    EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(fnv1a("journal"), fnv1a("nal", fnv1a("jour")));
+}
+
+TEST(JournalV3, RecordKeysArePinned)
+{
+    // Existing sweep and fairness journals key their records with
+    // these values: if either moves, no journal written before resumes.
+    EXPECT_EQ(configKey(ExperimentConfig{}), 0x2bcd01bf3cbe7d0fULL);
+    CmpConfig mix;
+    mix.workloads = {"mcf", "swim", "gcc", "art"};
+    mix.mechanism = ctrl::Mechanism::Bliss;
+    mix.instructions = 20000;
+    mix.watermarkDrain = true;
+    EXPECT_EQ(cmpConfigKey(mix), 0x22a64c25c9eaf536ULL);
 }
