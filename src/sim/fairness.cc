@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <ostream>
 #include <sstream>
